@@ -24,7 +24,6 @@ from .axioms import (
 from .catalog import Catalog, from_enumeration, read_catalog, write_catalog
 from .chirotope import (
     Chirotope,
-    chi_eval,
     cocircuit_vectors,
     from_text,
     signs_from_string,
@@ -87,7 +86,6 @@ __all__ = [
     "check_degree_k",
     "check_transitivity",
     "check_unimodal",
-    "chi_eval",
     "chi_point",
     "chirotope_of",
     "cocircuit_vectors",

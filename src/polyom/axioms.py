@@ -206,15 +206,17 @@ def _as_matrix(vectors, n=None):
 def _c3_uniform_batch(M):
     """Vectorized elimination check for pairs with |X^0 \\ Y^0| = 1.
 
-    Uses that distinct vectors sharing a zero set come in a single +-
-    pair; falls back to the scanning route when that fails to hold.
+    Runs on the first occurrence of each distinct row.  Once C2 has
+    passed, distinct rows sharing a zero set are a single X, -X pair,
+    so at most two candidates per zero set need a look.  Witnesses index
+    rows of the input.
     """
+    _, first = np.unique(M, axis=0, return_index=True)
+    keep = np.sort(first)
+    M = M[keep]
     m, n = M.shape
     zb = M == 0
     zmask = zb.astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    _, counts = np.unique(zmask, return_counts=True)
-    if counts.max(initial=0) > 2:
-        return None
     zint = zb.astype(np.int32)
     q = (zint @ (1 - zint).T) == 1
     prod = M[:, None, :] * M[None, :, :]
@@ -240,59 +242,9 @@ def _c3_uniform_batch(M):
     return AxiomReport(
         False,
         "C3",
-        (int(I[t]), int(J[t]), int(E[t]) + 1),
+        (int(keep[I[t]]), int(keep[J[t]]), int(E[t]) + 1),
         "no eliminating vector for this pair",
     )
-
-
-def _c3_near(M):
-    """Elimination over pairs with |X^0 \\ Y^0| = 1, pairs X = -Y exempt.
-
-    The eliminating vector must vanish exactly on (X^0 cap Y^0) + {e}
-    and keep every sign X and Y share; for such pairs that vector exists
-    in any valid set, and for uniform sets these pairs carry the whole
-    axiom.
-    """
-    m, n = M.shape
-    by_zero = {}
-    row_zm = []
-    for i in range(m):
-        zm = 0
-        for e in range(n):
-            if M[i, e] == 0:
-                zm |= 1 << e
-        by_zero.setdefault(zm, []).append(i)
-        row_zm.append(zm)
-    for i in range(m):
-        for j in range(m):
-            if np.array_equal(M[j], -M[i]):
-                continue
-            zi, zj = row_zm[i], row_zm[j]
-            if bin(zi & ~zj).count("1") != 1:
-                continue
-            for e in range(n):
-                if int(M[i, e]) * int(M[j, e]) != -1:
-                    continue
-                want = (zi & zj) | (1 << e)
-                found = False
-                for c in by_zero.get(want, ()):
-                    z = M[c]
-                    good = True
-                    for f in range(n):
-                        if M[i, f] != 0 and M[i, f] == M[j, f] and z[f] != M[i, f]:
-                            good = False
-                            break
-                    if good:
-                        found = True
-                        break
-                if not found:
-                    return AxiomReport(
-                        False,
-                        "C3",
-                        (i, j, e + 1),
-                        "no eliminating vector for this pair",
-                    )
-    return _PASS
 
 
 def _c3_general(M):
@@ -361,12 +313,8 @@ def check_cocircuit_axioms(vectors, uniform=False):
         i, j = np.argwhere(bad)[0]
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
     if uniform:
-        report = _c3_uniform_batch(M)
-        if report is None:
-            report = _c3_near(M)
-    else:
-        report = _c3_general(M)
-    return report
+        return _c3_uniform_batch(M)
+    return _c3_general(M)
 
 
 def _vectors_of(obj):

@@ -17,6 +17,8 @@ from math import comb
 from .errors import CatalogIntegrityError, InputError
 from .points import PointConfig, format_points, parse_points
 
+_RECORD_CHARS = frozenset("+-0")
+
 
 @dataclass(frozen=True)
 class Catalog:
@@ -34,7 +36,7 @@ class Catalog:
     def __post_init__(self):
         width = comb(self.n, self.k + 2)
         for rec in self.records:
-            if len(rec) != width or any(c not in "+-0" for c in rec):
+            if len(rec) != width or not set(rec) <= _RECORD_CHARS:
                 raise InputError(f"bad record for n={self.n} k={self.k}: {rec!r}")
         if self.witnesses is not None and len(self.witnesses) != len(self.records):
             raise InputError("witness list does not match record count")
@@ -155,4 +157,8 @@ def parse_catalog(text):
 
 def read_catalog(path):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_catalog(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not an ASCII catalog ({exc})") from exc
+    return parse_catalog(text)

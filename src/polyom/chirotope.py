@@ -121,11 +121,6 @@ class Chirotope:
         return Chirotope(len(kept), self.k, sub)
 
 
-def chi_eval(chi, t):
-    """Evaluate a chirotope on an arbitrary tuple (alternation applied)."""
-    return chi.value(t)
-
-
 def to_text(chi):
     """Two-line text form: header with n and k, then the sign string."""
     return f"n={chi.n} k={chi.k}\n{chi.sign_string()}\n"

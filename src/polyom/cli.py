@@ -91,7 +91,7 @@ def enumerate_cmd(n, k, out, shards, shard, prefix_depth, jobs):
     if shard is not None:
         result = partition_search(n, k, prefix_depth, shard, shards)
     elif shards > 1 or jobs > 1:
-        result = enumerate_sharded(n, k, max(shards, 1), jobs=jobs, prefix_depth=prefix_depth)
+        result = enumerate_sharded(n, k, max(shards, jobs), jobs=jobs, prefix_depth=prefix_depth)
     else:
         result = enumerate_chirotopes(n, k)
     if out:
@@ -109,7 +109,7 @@ def enumerate_cmd(n, k, out, shards, shard, prefix_depth, jobs):
 def realize(catalog_path, trials, seed, range_, out):
     """Search for realizing point configurations of catalog records."""
     catal = cat_mod.read_catalog(catalog_path)
-    ranges = (range_,) if range_ else DEFAULT_RANGES
+    ranges = (range_,) if range_ is not None else DEFAULT_RANGES
     tagged, stats = realize_random(catal, trials, seed, ranges=ranges)
     if out:
         cat_mod.write_catalog(out, tagged)

@@ -91,10 +91,6 @@ class WindowIndex:
     window_tuples: tuple
     var_windows: tuple
 
-    @property
-    def rank(self):
-        return {t: i for i, t in enumerate(self.tuples)}
-
 
 @lru_cache(maxsize=None)
 def window_index(n, k):

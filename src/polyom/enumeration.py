@@ -1,10 +1,23 @@
 """Exhaustive search for sign maps passing the degree-k axioms.
 
-The search assigns +1/-1 to the lex-ordered (k+2)-tuples, keeps every
-(k+3)-window sign sequence unimodal through arc-consistency propagation,
-and batch-filters complete assignments through the exchange condition.
-The lex-first tuple is pinned to +1, so exactly one representative of
-each {chi, -chi} pair is produced, in lex order of the sign strings.
+The search assigns +1/-1 to the lex-ordered (k+2)-tuples and keeps
+every (k+3)-window sign sequence unimodal through arc-consistency
+propagation.  The lex-first tuple is pinned to +1, so exactly one
+representative of each {chi, -chi} pair is produced, in lex order of
+the sign strings.
+
+No complete assignment needs the exchange condition (B3) checked.  A
+nowhere-zero map on the (k+2)-subsets of [n] whose sign sequence
+changes at most once on every (k+3)-window is a signotope of rank k+2,
+and signotopes of rank k+2 are the elements of the higher Bruhat order
+B(n, k+1) (Felsner and Weil, "Sweeps, arrangements and signotopes",
+Discrete Appl. Math. 109, 2001).  Through Ziegler's bijection between
+B(n, k+1) and the uniform single-element extensions of an alternating
+oriented matroid, each one is a uniform chirotope up to reorientation
+(Ziegler, "Higher Bruhat orders and cyclic hyperplane arrangements",
+Topology 32, 1993).  Reorientation leaves B3 invariant, so every map
+the search emits satisfies it.  exchange_filter_mask is kept as the
+reference check that the tests run over whole catalogs.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,55 +37,86 @@ _PLUS = ord("+")
 _MINUS = ord("-")
 
 
+def _propagate(queue, x, xb, trail, windows, var_windows):
+    """Arc-consistency from the variables in queue (0 = undecided).
+
+    x holds the signs and xb their '+'/'-' codes.  Every window touching
+    a queued variable must keep a completion with at most one sign
+    change: with both signs present, undecided cells before the last
+    leading-sign cell take the leading sign and cells after the first
+    opposite cell take the opposite; with one sign present, cells
+    strictly inside its span take it.  Forced variables are recorded on
+    trail and queued in turn.  Returns False on a conflict.
+    """
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in var_windows[v]:
+            win = windows[w]
+            s = 0
+            p_first = p_last = q_first = -1
+            for i, u in enumerate(win):
+                val = x[u]
+                if val == 0:
+                    continue
+                if s == 0:
+                    s = val
+                    p_first = p_last = i
+                elif val == s:
+                    if q_first >= 0:
+                        return False
+                    p_last = i
+                elif q_first < 0:
+                    q_first = i
+            if s == 0:
+                continue
+            if q_first >= 0:
+                for i in range(p_last):
+                    u = win[i]
+                    if x[u] == 0:
+                        x[u] = s
+                        xb[u] = _PLUS if s > 0 else _MINUS
+                        trail.append(u)
+                        queue.append(u)
+                for i in range(q_first + 1, len(win)):
+                    u = win[i]
+                    if x[u] == 0:
+                        x[u] = -s
+                        xb[u] = _MINUS if s > 0 else _PLUS
+                        trail.append(u)
+                        queue.append(u)
+            else:
+                for i in range(p_first + 1, p_last):
+                    u = win[i]
+                    if x[u] == 0:
+                        x[u] = s
+                        xb[u] = _PLUS if s > 0 else _MINUS
+                        trail.append(u)
+                        queue.append(u)
+    return True
+
+
 def propagate_window(values):
     """Arc-consistency on one window's sign sequence (0 = undecided).
 
     Returns None when no completion with at most one sign change exists,
-    else the sequence with every forced entry filled in: with both signs
-    present, undecided cells before the last leading-sign cell take the
-    leading sign and cells after the first opposite cell take the
-    opposite; with one sign present, cells strictly inside its span take
-    it.
+    else the sequence with every forced entry filled in, as the search
+    propagates it.
     """
     vals = list(values)
-    s = 0
-    p_first = p_last = q_first = -1
-    for i, v in enumerate(vals):
-        if v == 0:
-            continue
-        if s == 0:
-            s = v
-            p_first = p_last = i
-        elif v == s:
-            if q_first >= 0:
-                return None
-            p_last = i
-        elif q_first < 0:
-            q_first = i
-    if s == 0:
-        return vals
-    if q_first >= 0:
-        for i in range(p_last):
-            if vals[i] == 0:
-                vals[i] = s
-        for i in range(q_first + 1, len(vals)):
-            if vals[i] == 0:
-                vals[i] = -s
-    else:
-        for i in range(p_first + 1, p_last):
-            if vals[i] == 0:
-                vals[i] = s
-    return vals
+    cells = tuple(range(len(vals)))
+    ok = _propagate(list(cells), vals, bytearray(len(vals)), [], (cells,), ((0,),) * len(vals))
+    return vals if ok else None
 
 
 def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
     """Depth-first search over unimodal-consistent assignments.
 
-    Returns (chars, count): a bytearray of '+'/'-' rows in emission
-    order, which is lex order of the sign strings, and the row count.
-    With shard arguments, only leaves whose branch-decision prefix hashes
-    into the shard are emitted; shallow leaves hash their full decision
-    string.
+    Returns a bytearray of '+'/'-' rows in emission order, which is lex
+    order of the sign strings.  With shard arguments, only leaves whose
+    branch-decision prefix hashes into the shard are emitted; shallow
+    leaves hash their full decision string.
     """
     wi = window_index(n, k)
     windows = wi.windows
@@ -84,56 +129,6 @@ def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
     xb = bytearray(T)
     trail = []
 
-    def propagate(v0):
-        queue = [v0]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in var_windows[v]:
-                win = windows[w]
-                s = 0
-                p_first = p_last = q_first = -1
-                for i, u in enumerate(win):
-                    val = x[u]
-                    if val == 0:
-                        continue
-                    if s == 0:
-                        s = val
-                        p_first = p_last = i
-                    elif val == s:
-                        if q_first >= 0:
-                            return False
-                        p_last = i
-                    elif q_first < 0:
-                        q_first = i
-                if s == 0:
-                    continue
-                if q_first >= 0:
-                    for i in range(p_last):
-                        u = win[i]
-                        if x[u] == 0:
-                            x[u] = s
-                            xb[u] = _PLUS if s > 0 else _MINUS
-                            trail.append(u)
-                            queue.append(u)
-                    for i in range(q_first + 1, len(win)):
-                        u = win[i]
-                        if x[u] == 0:
-                            x[u] = -s
-                            xb[u] = _MINUS if s > 0 else _PLUS
-                            trail.append(u)
-                            queue.append(u)
-                else:
-                    for i in range(p_first + 1, p_last):
-                        u = win[i]
-                        if x[u] == 0:
-                            x[u] = s
-                            xb[u] = _PLUS if s > 0 else _MINUS
-                            trail.append(u)
-                            queue.append(u)
-        return True
-
     def next_var(start):
         for v in range(start, T):
             if x[v] == 0:
@@ -141,18 +136,17 @@ def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
         return -1
 
     buf = bytearray()
-    count = 0
 
     # canonical pair representative: lex-first tuple positive
     x[0] = 1
     xb[0] = _PLUS
     trail.append(0)
-    if not propagate(0):
-        return buf, 0
+    if not _propagate([0], x, xb, trail, windows, var_windows):
+        return buf
 
     # depth-0 prefix: the whole tree is one hash class
     if sharded and prefix_depth == 0 and crc(b"") % of_shards != shard:
-        return buf, 0
+        return buf
 
     decisions = bytearray(T)
 
@@ -160,8 +154,7 @@ def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
     if v0 < 0:
         if not sharded or crc(b"") % of_shards == shard:
             buf += xb
-            count = 1
-        return buf, count
+        return buf
 
     stack = [[v0, 0, len(trail)]]
     while stack:
@@ -185,7 +178,7 @@ def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
         x[var] = sign
         xb[var] = decisions[depth]
         trail.append(var)
-        if not propagate(var):
+        if not _propagate([var], x, xb, trail, windows, var_windows):
             continue
         nv = next_var(var + 1)
         if nv < 0:
@@ -196,10 +189,9 @@ def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
             ):
                 continue
             buf += xb
-            count += 1
             continue
         stack.append([nv, 0, len(trail)])
-    return buf, count
+    return buf
 
 
 def _chars_to_signs(chars):
@@ -233,18 +225,22 @@ def exchange_filter_mask(chars, n, k):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Search output: every surviving sign string plus both tallies.
-
-    chars holds one '+'/'-' row per object, rows in lex order of the
-    strings.  unimodal_count tallies complete unimodal-consistent
-    assignments before the exchange filter; count is after.
-    """
+    """Search output: one '+'/'-' row per object in chars, rows in lex
+    order of the sign strings."""
 
     n: int
     k: int
-    unimodal_count: int
-    count: int
     chars: np.ndarray
+
+    @property
+    def count(self):
+        return len(self.chars)
+
+    @property
+    def unimodal_count(self):
+        """Rows the search emitted; equal to count, since every unimodal
+        map is a chirotope (see the module docstring)."""
+        return self.count
 
     def strings(self):
         return [row.tobytes().decode("ascii") for row in self.chars]
@@ -260,15 +256,11 @@ class EnumerationResult:
         return f"unimodal={self.unimodal_count} degree_k={self.count}"
 
 
-def _finish(n, k, buf, unimodal_count):
+def _result(n, k, buf):
     T = len(window_index(n, k).tuples)
-    chars = np.frombuffer(bytes(buf), np.uint8).reshape(-1, T)
-    mask = exchange_filter_mask(chars, n, k)
-    kept = chars[mask].copy()
-    kept.setflags(write=False)
-    return EnumerationResult(
-        n=n, k=k, unimodal_count=unimodal_count, count=len(kept), chars=kept
-    )
+    chars = np.frombuffer(buf, np.uint8).reshape(-1, T)
+    chars.setflags(write=False)
+    return EnumerationResult(n=n, k=k, chars=chars)
 
 
 def enumerate_chirotopes(n, k):
@@ -277,8 +269,7 @@ def enumerate_chirotopes(n, k):
         raise InputError(f"degree must be at least 1, got {k}")
     if n < k + 2:
         raise InputError(f"need n >= k+2, got n={n} k={k}")
-    buf, cnt = _search_leaves(n, k)
-    return _finish(n, k, buf, cnt)
+    return _result(n, k, _search_leaves(n, k))
 
 
 def default_prefix_depth(n, k):
@@ -304,8 +295,7 @@ def partition_search(n, k, prefix_depth, shard, of_shards):
         raise InputError(f"prefix depth must be nonnegative, got {prefix_depth}")
     if k < 1 or n < k + 2:
         raise InputError(f"need n >= k+2 and k >= 1, got n={n} k={k}")
-    buf, cnt = _search_leaves(n, k, prefix_depth, shard, of_shards)
-    return _finish(n, k, buf, cnt)
+    return _result(n, k, _search_leaves(n, k, prefix_depth, shard, of_shards))
 
 
 def merge_results(results):
@@ -321,40 +311,20 @@ def merge_results(results):
     if len(chars):
         order = np.argsort(chars.view(f"V{chars.shape[1]}").ravel(), kind="stable")
         chars = chars[order]
-    chars = chars.copy()
     chars.setflags(write=False)
-    return EnumerationResult(
-        n=n,
-        k=k,
-        unimodal_count=sum(r.unimodal_count for r in results),
-        count=sum(r.count for r in results),
-        chars=chars,
-    )
-
-
-def _shard_task(args):
-    n, k, prefix_depth, shard, of_shards = args
-    res = partition_search(n, k, prefix_depth, shard, of_shards)
-    return res.unimodal_count, res.count, res.chars.tobytes()
+    return EnumerationResult(n=n, k=k, chars=chars)
 
 
 def enumerate_sharded(n, k, of_shards, jobs=1, prefix_depth=None):
     """Run every shard, optionally on a process pool, and merge."""
     if prefix_depth is None:
         prefix_depth = default_prefix_depth(n, k)
-    tasks = [(n, k, prefix_depth, s, of_shards) for s in range(of_shards)]
-    T = len(window_index(n, k).tuples)
-    parts = []
+    task = partial(partition_search, n, k, prefix_depth, of_shards=of_shards)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_shard_task, tasks))
+            parts = list(pool.map(task, range(of_shards)))
     else:
-        outs = [_shard_task(t) for t in tasks]
-    for (ucnt, cnt, raw) in outs:
-        chars = np.frombuffer(raw, np.uint8).reshape(-1, T)
-        parts.append(
-            EnumerationResult(n=n, k=k, unimodal_count=ucnt, count=cnt, chars=chars)
-        )
+        parts = [task(s) for s in range(of_shards)]
     return merge_results(parts)
 
 

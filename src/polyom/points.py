@@ -174,6 +174,25 @@ def chirotope_of(config, k):
     return chi
 
 
+def newton_coeffs(xs, ys):
+    """Newton coefficients of the interpolant through (xs, ys): the top
+    row of the divided-difference table."""
+    coeffs = list(ys)
+    deg = len(xs) - 1
+    for level in range(1, deg + 1):
+        for i in range(deg, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    return coeffs
+
+
+def newton_eval(coeffs, xs, x):
+    """The Newton-form interpolant with these coefficients, at x."""
+    acc = Fraction(0)
+    for i in range(len(coeffs) - 1, -1, -1):
+        acc = acc * (x - xs[i]) + coeffs[i]
+    return acc
+
+
 def lagrange_sign(config, k, base, e):
     """Sign of y_e minus the degree-k interpolant through the base points.
 
@@ -194,16 +213,8 @@ def lagrange_sign(config, k, base, e):
             raise InputError(f"element {v} outside [1, {n}]")
     xs = [config.points[b - 1][0] for b in base]
     ys = [config.points[b - 1][1] for b in base]
-    # divided-difference table, top row kept as Newton coefficients
-    coeffs = list(ys)
-    for level in range(1, k + 1):
-        for i in range(k, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
     xe, ye = config.points[e - 1]
-    acc = Fraction(0)
-    for i in range(k, -1, -1):
-        acc = acc * (xe - xs[i]) + coeffs[i]
-    diff = ye - acc
+    diff = ye - newton_eval(newton_coeffs(xs, ys), xs, xe)
     if diff == 0:
         return 0
     return 1 if diff > 0 else -1

@@ -11,25 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .points import chirotope_of
+from .points import chirotope_of, newton_coeffs, newton_eval
 
 _CURVE_COLORS = ("#1f6f8b", "#c44536", "#6a8d3f", "#8d5a97", "#b88a2e")
-
-
-def _newton_coeffs(xs, ys):
-    coeffs = list(ys)
-    deg = len(xs) - 1
-    for level in range(1, deg + 1):
-        for i in range(deg, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    return coeffs
-
-
-def _newton_eval(coeffs, xs, x):
-    acc = Fraction(0)
-    for i in range(len(coeffs) - 1, -1, -1):
-        acc = acc * (x - xs[i]) + coeffs[i]
-    return acc
 
 
 def render_svg(
@@ -83,10 +67,10 @@ def render_svg(
         base = range(ci, ci + k + 1)
         bxs = [pts[i][0] for i in base]
         bys = [pts[i][1] for i in base]
-        coeffs = _newton_coeffs(bxs, bys)
+        coeffs = newton_coeffs(bxs, bys)
         d = []
         for j, x in enumerate(sample_xs):
-            y = _newton_eval(coeffs, bxs, x)
+            y = newton_eval(coeffs, bxs, x)
             sx, sy = to_screen(x, y)
             d.append(f"{'M' if j == 0 else 'L'}{sx:.2f},{sy:.2f}")
         color = _CURVE_COLORS[ci % len(_CURVE_COLORS)]

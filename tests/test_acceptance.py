@@ -16,7 +16,7 @@ import pytest
 import polyom as pm
 from polyom.catalog import Catalog, format_catalog, from_enumeration
 from polyom.combinat import window_index
-from polyom.enumeration import brute_force_strings
+from polyom.enumeration import brute_force_strings, exchange_filter_mask
 
 # criterion 1: required exact counts, up to global sign
 REQUIRED_COUNTS = {
@@ -190,6 +190,19 @@ def test_criterion_7_unimodal_implies_transitivity():
         f"{exercised} non-vacuous)",
         flush=True,
     )
+
+
+def test_exchange_filter_rejects_no_catalog_row():
+    # the search emits no exchange check: every unimodal map is a
+    # chirotope (enumeration module docstring), and this is the check
+    cases = sorted(REQUIRED_COUNTS) + [(n, 1) for n in range(3, 9)]
+    rows = 0
+    for (n, k) in cases:
+        chars = catalog_result(n, k).chars
+        rejected = int((~exchange_filter_mask(chars, n, k)).sum())
+        assert rejected == 0, (n, k, rejected)
+        rows += len(chars)
+    print(f"exchange filter: PASS ({rows} catalog rows, 0 rejected)", flush=True)
 
 
 def test_criterion_8_determinism():

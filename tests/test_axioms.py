@@ -175,6 +175,35 @@ def test_cocircuit_C3_failure_when_pair_removed():
         assert not rep.passed and rep.axiom == "C3"
 
 
+def test_uniform_C3_duplicated_rows_same_verdict_and_witness():
+    res = pm.enumerate_chirotopes(6, 2)
+    chi = Chirotope(6, 2, signs_from_string(res.strings()[1]))
+    vecs = pm.cocircuit_vectors(chi)
+    head = vecs[0]
+    kept = np.array(
+        [
+            r
+            for r in vecs
+            if not (np.array_equal(r, head) or np.array_equal(r, -head))
+        ],
+        np.int8,
+    )
+    reports = []
+    for base in (vecs, kept):
+        plain = pm.check_cocircuit_axioms(base, uniform=True)
+        appended = np.vstack([base, base[::3], base[:2]])
+        assert pm.check_cocircuit_axioms(appended, uniform=True) == plain
+        # every row twice in a row: row i of base first occurs at 2i
+        repeated = pm.check_cocircuit_axioms(np.repeat(base, 2, axis=0), uniform=True)
+        assert repeated.passed == plain.passed and repeated.axiom == plain.axiom
+        if plain.witness:
+            i, j, e = plain.witness
+            assert repeated.witness == (2 * i, 2 * j, e)
+        reports.append(plain)
+    assert reports[0].passed
+    assert not reports[1].passed and reports[1].axiom == "C3"
+
+
 def test_cocircuit_weak_elimination_failure_constructed():
     # rows disagree at the first column but nothing vanishes there
     bad = np.array([[1, 1, 0], [-1, -1, 0], [1, 0, -1], [-1, 0, 1]], np.int8)

@@ -1,0 +1,25 @@
+"""The traced benchmark (polybench/) wraps polyom entry points by name and
+reads result fields; a cleanup that drops one breaks it silently."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "polybench"))
+
+import spans  # noqa: E402
+
+import polyom as pm  # noqa: E402
+
+
+def test_every_traced_target_resolves():
+    for modname, attr, _ in spans.TARGETS:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (modname, attr)
+
+
+def test_enumeration_result_keeps_unimodal_count():
+    res = pm.enumerate_chirotopes(5, 2)
+    assert res.unimodal_count == res.count == 5

@@ -154,3 +154,41 @@ def test_catalog_tamper_detected_on_read(tmp_path):
     result = invoke(["scan", "--catalog", str(cat_path)])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def test_enumerate_jobs_alone_runs_one_shard_per_job(tmp_path, monkeypatch):
+    import polyom.cli as cli
+
+    seen = []
+    real = cli.enumerate_sharded
+
+    def spy(n, k, of_shards, **kwargs):
+        seen.append(of_shards)
+        return real(n, k, of_shards, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_sharded", spy)
+    pooled, single = tmp_path / "j2.cat", tmp_path / "j1.cat"
+    a = invoke(["enumerate", "--n", "6", "--k", "2", "--jobs", "2", "--out", str(pooled)])
+    b = invoke(["enumerate", "--n", "6", "--k", "2", "--jobs", "1", "--out", str(single)])
+    assert a.exit_code == b.exit_code == 0
+    assert seen and seen[0] >= 2
+    assert a.output == b.output
+    assert pooled.read_bytes() == single.read_bytes()
+
+
+def test_realize_range_zero_rejected(tmp_path):
+    cat_path = str(tmp_path / "c.cat")
+    invoke(["enumerate", "--n", "5", "--k", "2", "--out", cat_path])
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "5", "--range", "0"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+def test_non_ascii_catalog_exits_two(tmp_path):
+    cat_path = tmp_path / "c.cat"
+    invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])
+    data = cat_path.read_bytes()
+    cat_path.write_bytes(data[:-2] + b"\xe9\n")
+    result = invoke(["scan", "--catalog", str(cat_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
