@@ -29,13 +29,14 @@ class Chirotope:
             raise InputError(f"degree must be at least 1, got {k}")
         if n < k + 2:
             raise InputError(f"need at least k+2 = {k + 2} elements, got n = {n}")
-        arr = np.array(list(signs), dtype=np.int8)
+        arr = np.array(signs if isinstance(signs, np.ndarray) else list(signs))
         if arr.ndim != 1 or len(arr) != comb(n, k + 2):
             raise InputError(
                 f"expected {comb(n, k + 2)} signs for n={n} k={k}, got {arr.size}"
             )
-        if not np.isin(arr, (-1, 0, 1)).all():
+        if arr.dtype.kind not in "biufO" or not ((arr >= -1) & (arr <= 1)).all():
             raise InputError("signs must be -1, 0 or +1")
+        arr = arr.astype(np.int8, copy=False)
         arr.setflags(write=False)
         self.n = n
         self.k = k

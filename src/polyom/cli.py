@@ -81,10 +81,10 @@ def check(chirotope_file, as_json):
 @click.option("--n", type=int, required=True, help="Number of elements.")
 @click.option("--k", type=int, required=True, help="Degree.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Catalog output path.")
-@click.option("--shards", type=int, default=1, show_default=True)
+@click.option("--shards", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--shard", type=int, default=None, help="Run only this shard.")
 @click.option("--prefix-depth", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @_guarded
 def enumerate_cmd(n, k, out, shards, shard, prefix_depth, jobs):
     """Enumerate all degree-k chirotopes on [n] up to global sign."""
@@ -101,7 +101,7 @@ def enumerate_cmd(n, k, out, shards, shard, prefix_depth, jobs):
 
 @main.command()
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--trials", type=int, required=True)
+@click.option("--trials", type=click.IntRange(min=0), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--range", "range_", type=int, default=None, help="Single coordinate range override.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Tagged catalog output path.")

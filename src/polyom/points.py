@@ -2,20 +2,45 @@
 
 A configuration lifts into R^(k+2) along the polynomial-moment basis
 (1, x, ..., x^k, y); the degree-k sign of a (k+2)-tuple is the
-determinant sign of the lifted rows.  All sign computations run over the
-integers: rational rows are cleared by their (positive) common
-denominator once per point, which cannot change any determinant sign.
+determinant sign of the lifted rows.
+
+One predicate, `tuple_signs`, computes every such sign.  Expand the
+determinant of an x-sorted tuple x_0 < ... < x_{k+1} along its y column:
+
+    det = sum_j (-1)^(j+k+1) y_j V_j = V f[x_0, ..., x_{k+1}],
+
+where V_j > 0 is the Vandermonde product of the x-values other than
+x_j, V > 0 the full Vandermonde product and f[...] the (k+1)-th divided
+difference of the y-values.  For integer coordinates the sum is
+evaluated in float64 over whole batches of tuples, and its sign is
+taken only where a proven bound on the rounding error certifies it (a
+semi-static filter: Shewchuk, "Adaptive Precision Floating-Point
+Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997;
+Bronnimann, Burnikel and Pion, "Interval arithmetic yields efficient
+dynamic filters for computational geometry", DAM 109, 2001).  Every
+entry the bound leaves open (exact zeros, overflow to inf or NaN, and
+coordinates beyond 2^52, whose differences float64 no longer holds
+exactly) is evaluated again in Python integers.  Rational
+configurations are first multiplied through by their positive common
+denominator L, which scales every determinant by L^(k(k+1)/2+1) > 0.
+
+`det_sign` (Bareiss elimination) remains the general exact determinant
+and `lagrange_sign` (Newton interpolation over the rationals) an
+independent oracle for the same signs.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import comb, lcm
+
+import numpy as np
 
 from .chirotope import Chirotope
-from .combinat import all_tuples
 from .errors import DegenerateConfigError, InputError
 
 DEFAULT_RANGE = 10**6
@@ -30,7 +55,7 @@ class PointConfig:
     order on the first coordinate.
     """
 
-    __slots__ = ("points", "_lift_cache", "_chi_cache")
+    __slots__ = ("points", "_chi_cache")
 
     def __init__(self, points):
         coords = []
@@ -42,7 +67,6 @@ class PointConfig:
             if x1 == x2:
                 raise InputError(f"two points share x = {x1}")
         self.points = tuple(coords)
-        self._lift_cache = {}
         self._chi_cache = {}
 
     def __len__(self):
@@ -66,23 +90,6 @@ class PointConfig:
         if not 1 <= e <= len(self.points):
             raise InputError(f"element {e} outside [1, {len(self.points)}]")
         return self.points[e - 1]
-
-    def lift_rows(self, k):
-        """Integer lifted rows (1, x, ..., x^k, y), denominators cleared.
-
-        Each row is scaled by a positive integer, so determinant signs of
-        row selections are unchanged.
-        """
-        rows = self._lift_cache.get(k)
-        if rows is None:
-            rows = []
-            for x, y in self.points:
-                row = [Fraction(1)] + [x**p for p in range(1, k + 1)] + [y]
-                scale = lcm(*(f.denominator for f in row))
-                rows.append(tuple(int(f * scale) for f in row))
-            rows = tuple(rows)
-            self._lift_cache[k] = rows
-        return rows
 
 
 def lift(point, k):
@@ -138,38 +145,143 @@ def _int_det_sign(a):
     return 1 if (d > 0) == (sign > 0) else -1
 
 
+# Coordinates up to 2^52 in magnitude have differences up to 2^53, which
+# float64 holds exactly; rows with a larger coordinate take the exact path.
+_FLOAT_EXACT = 2**52
+
+
+@lru_cache(maxsize=None)
+def _sign_tables(n, k):
+    """Index tables of the predicate for n points at degree k.
+
+    cols (C, r): the points of every sorted r-tuple, r = k+2, lex order.
+    pa, pb (P,): the positions a < b of the P = C(r, 2) pairs of a tuple.
+    leave (r, p): for term j, the p = C(k+1, 2) pairs that avoid j.
+    alt (r,): the cofactor signs (-1)^(j+k+1).
+    """
+    r = k + 2
+    cols = np.array(list(itertools.combinations(range(n), r)), np.intp).reshape(-1, r)
+    pairs = list(itertools.combinations(range(r), 2))
+    pa = np.array([a for a, _ in pairs], np.intp)
+    pb = np.array([b for _, b in pairs], np.intp)
+    leave = np.array(
+        [[q for q, pair in enumerate(pairs) if j not in pair] for j in range(r)], np.intp
+    ).reshape(r, comb(k + 1, 2))
+    alt = np.array([(-1.0) ** (j + k + 1) for j in range(r)])
+    return cols, pa, pb, leave, alt
+
+
+def _int_array(v):
+    if isinstance(v, np.ndarray) and v.dtype == np.int64:
+        return v
+    try:
+        return np.array(v, dtype=np.int64)
+    except OverflowError:
+        return np.array(v, dtype=object)
+
+
+def _exact_sign(xs, ys, k):
+    """The sign of sum_j (-1)^(j+k+1) y_j V_j, over Python ints."""
+    total = 0
+    for j in range(k + 2):
+        others = xs[:j] + xs[j + 1 :]
+        term = ys[j]
+        for a, xa in enumerate(others):
+            for xb in others[a + 1 :]:
+                term *= xb - xa
+        total += term if (j + k + 1) % 2 == 0 else -term
+    return (total > 0) - (total < 0)
+
+
+def tuple_signs(xs, ys, k):
+    """Degree-k signs of every sorted (k+2)-tuple of each configuration.
+
+    xs and ys are integer arrays of shape (T, n), or nested sequences of
+    ints, one configuration per row with x strictly increasing.  Returns
+    the int8 array (T, C(n, k+2)) of det(1, x, ..., x^k, y) signs, tuples
+    in lex order.  Exact: a float decides a sign only where the error
+    bound certifies it, and every other entry is computed in integers.
+    """
+    X, Y = _int_array(xs), _int_array(ys)
+    T, n = X.shape
+    cols, pa, pb, leave, alt = _sign_tables(n, k)
+    out = np.zeros((T, len(cols)), np.int8)
+    certified = np.zeros(out.shape, bool)
+    lim = _FLOAT_EXACT
+    narrow = ((X >= -lim) & (X <= lim) & (Y >= -lim) & (Y <= lim)).all(1)
+    if narrow.any():
+        Xt = X[narrow].astype(np.float64)[:, cols]
+        terms = Y[narrow].astype(np.float64)[:, cols] * alt
+        # Error bound, with u = 2^-53 and gamma_m = m u / (1 - m u).  The
+        # differences are exact, so each term y_j V_j takes p = C(k+1, 2)
+        # rounded multiplications: t~_j = t_j (1 + th_j), |th_j| <= gamma_p,
+        # in any order.  Summing the r = k+2 terms takes r-1 additions:
+        # s~ = sum t~_j (1 + et_j), |et_j| <= gamma_(r-1), in any order.
+        # So |s~ - s| <= (gamma_p / (1 - gamma_p) + gamma_(r-1)) A with
+        # A = sum |t~_j|, and that is at most m u / (1 - 2 m u) A for
+        # m = p + r - 1.  The bound is itself rounded: the computed A~ is
+        # at least (1 - gamma_(r-1)) A and fl(g A~) at least (1 - u) g A~.
+        # With g = 2 m u these leave fl(g A~) >= 2 m u (1 - 2 r u) A, which
+        # covers the error whenever m u <= 1/8.  Hence |s~| > fl(g A~)
+        # certifies sign(s~) = sign(s).  Nonzero factors are integers, so
+        # nothing underflows; an overflow gives inf or NaN in s~ or A~, and
+        # the strict test then fails.
+        gamma = (comb(k + 1, 2) + k + 1) * 2.0**-52
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = Xt[:, :, pb] - Xt[:, :, pa]
+            for q in range(leave.shape[1]):
+                terms *= diffs[:, :, leave[:, q]]
+            s = terms[:, :, 0].copy()
+            bound = np.abs(s)
+            for j in range(1, k + 2):
+                s += terms[:, :, j]
+                bound += np.abs(terms[:, :, j])
+            ok = np.abs(s) > gamma * bound
+        out[narrow] = np.where(ok, np.sign(s), 0)
+        certified[narrow] = ok
+    for t, c in zip(*np.nonzero(~certified)):
+        idx = cols[c]
+        out[t, c] = _exact_sign(
+            [int(v) for v in X[t, idx]], [int(v) for v in Y[t, idx]], k
+        )
+    return out
+
+
 def chi_point(config, k, t):
     """Degree-k sign of a (k+2)-tuple of elements of the configuration.
 
-    det sign of the lifted rows in tuple order, so alternation and the
-    vanishing on repeats come for free.
+    The determinant sign of the lifted rows in tuple order: the sign of
+    the sorted tuple in the configuration's chirotope times the sorting
+    parity, 0 on repeats.
     """
-    rows = config.lift_rows(k)
+    t = tuple(t)
     n = len(config)
-    sel = []
     for e in t:
         if not 1 <= e <= n:
             raise InputError(f"element {e} outside [1, {n}]")
-        sel.append(list(rows[e - 1]))
-    if len(sel) != k + 2:
-        raise InputError(f"expected a {k + 2}-tuple, got {tuple(t)}")
-    return _int_det_sign(sel)
+    if len(t) != k + 2:
+        raise InputError(f"expected a {k + 2}-tuple, got {t}")
+    if len(set(t)) < len(t):
+        return 0
+    return chirotope_of(config, k).value(t)
 
 
 def chirotope_of(config, k):
     """The degree-k chirotope of a configuration, on sorted tuples."""
     n = len(config)
+    if k < 1:
+        raise InputError(f"degree must be at least 1, got {k}")
     if n < k + 2:
         raise InputError(f"need at least k+2 = {k + 2} points, got {n}")
     cached = config._chi_cache.get(k)
     if cached is not None:
         return cached
-    rows = config.lift_rows(k)
-    signs = [
-        _int_det_sign([list(rows[e - 1]) for e in t])
-        for t in itertools.combinations(range(1, n + 1), k + 2)
-    ]
-    chi = Chirotope(n, k, signs)
+    # Clear denominators: scaling every coordinate by the positive common
+    # denominator L scales each determinant by L^(k(k+1)/2+1).
+    scale = lcm(*(c.denominator for p in config.points for c in p))
+    xs = [x.numerator * (scale // x.denominator) for x, _ in config.points]
+    ys = [y.numerator * (scale // y.denominator) for _, y in config.points]
+    chi = Chirotope(n, k, tuple_signs([xs], [ys], k)[0])
     config._chi_cache[k] = chi
     return chi
 
@@ -220,6 +332,54 @@ def lagrange_sign(config, k, base, e):
     return 1 if diff > 0 else -1
 
 
+def check_draw(n, k, coordinate_range):
+    """The integer range r of a draw of n points over [-r, r] at degree k."""
+    if n < k + 2:
+        raise InputError(f"need at least k+2 = {k + 2} points, got n = {n}")
+    r = int(coordinate_range)
+    if r < 1:
+        raise InputError("coordinate range must be positive")
+    if 2 * r + 1 > sys.maxsize:
+        raise InputError(f"coordinate range {r} is too large: 2r+1 exceeds {sys.maxsize}")
+    if 2 * r + 1 < n:
+        raise InputError(f"range [-{r}, {r}] cannot hold {n} distinct x-values")
+    return r
+
+
+def _draw(rng, n, r):
+    xs = sorted(rng.sample(range(-r, r + 1), n))
+    return xs, [rng.randint(-r, r) for _ in xs]
+
+
+def draw_uniform(rngs, ranges, n, k, max_tries):
+    """One configuration per generator, redrawn until its map is uniform.
+
+    Generator i draws n distinct x-values from [-r, r], r = ranges[i],
+    sorts them, then draws one y-value per point in x-order.  The draws
+    of all generators are signed in one batch; a generator whose map has
+    a zero sign draws again from its own state, at most max_tries draws
+    in all.  Returns (X, Y, signs, uniform): the int64 (T, n)
+    coordinates and int8 (T, C(n, k+2)) signs of each generator's last
+    draw, and the mask of the generators that ended uniform.
+    """
+    T = len(rngs)
+    X = np.zeros((T, n), np.int64)
+    Y = np.zeros((T, n), np.int64)
+    signs = np.zeros((T, comb(n, k + 2)), np.int8)
+    todo = list(range(T))
+    for _ in range(max_tries):
+        if not todo:
+            break
+        drawn = [_draw(rngs[i], n, ranges[i]) for i in todo]
+        X[todo] = [xs for xs, _ in drawn]
+        Y[todo] = [ys for _, ys in drawn]
+        signs[todo] = tuple_signs(X[todo], Y[todo], k)
+        todo = [i for i, ok in zip(todo, signs[todo].all(1).tolist()) if not ok]
+    uniform = np.ones(T, bool)
+    uniform[todo] = False
+    return X, Y, signs, uniform
+
+
 def random_config(n, k, seed, coordinate_range=DEFAULT_RANGE, max_tries=DEFAULT_MAX_TRIES):
     """A random integer configuration whose degree-k chirotope is uniform.
 
@@ -227,19 +387,10 @@ def random_config(n, k, seed, coordinate_range=DEFAULT_RANGE, max_tries=DEFAULT_
     Deterministic for a given seed.  Raises DegenerateConfigError when
     max_tries draws all produce a vanishing sign somewhere.
     """
-    if n < k + 2:
-        raise InputError(f"need at least k+2 = {k + 2} points, got n = {n}")
-    r = int(coordinate_range)
-    if 2 * r + 1 < n:
-        raise InputError(f"range [-{r}, {r}] cannot hold {n} distinct x-values")
-    rng = random.Random(seed)
-    span = range(-r, r + 1)
-    for _ in range(max_tries):
-        xs = sorted(rng.sample(span, n))
-        pts = [(x, rng.randint(-r, r)) for x in xs]
-        config = PointConfig(pts)
-        if chirotope_of(config, k).is_uniform():
-            return config
+    r = check_draw(n, k, coordinate_range)
+    X, Y, _, uniform = draw_uniform([random.Random(seed)], [r], n, k, max_tries)
+    if uniform[0]:
+        return PointConfig(zip(X[0].tolist(), Y[0].tolist()))
     raise DegenerateConfigError(
         f"no uniform configuration in {max_tries} draws (n={n}, k={k}, range={r}, seed={seed})"
     )

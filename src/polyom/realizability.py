@@ -9,13 +9,22 @@ raising loudly, not skipping.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import Catalog
-from .errors import DegenerateConfigError, SoundnessError
-from .points import chirotope_of, random_config
+from .errors import InputError, SoundnessError
+from .points import PointConfig, check_draw, chirotope_of, draw_uniform
 
 DEFAULT_RANGES = (8, 32, 128, 1024, 32768, 10**6)
+
+# Trials drawn and signed together; bounds the memory of a search.
+TRIAL_BLOCK = 1024
+
+# Canonical sign + 1 -> record character.
+_SIGN_BYTES = np.frombuffer(b"-0+", np.uint8)
 
 # Reference counts of realizable objects for small cases; the (8, 2)
 # entry is a (lower, upper) bound pair, the classification there being
@@ -71,29 +80,39 @@ def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
     SoundnessError when a drawn configuration's canonical chirotope is
     not a catalog record.
     """
+    if trials < 0:
+        raise InputError(f"trial count must be non-negative, got {trials}")
+    n, k = catalog.n, catalog.k
+    used = [check_draw(n, k, r) for r in ranges[:trials]]
     witnesses = list(catalog.witnesses) if catalog.tagged else [None] * len(catalog)
     index = catalog.index_of()
     degenerate = 0
     new = 0
-    for t in range(trials):
-        rng_range = ranges[t % len(ranges)]
-        try:
-            config = random_config(
-                catalog.n, catalog.k, trial_seed(seed, t), rng_range, max_tries
-            )
-        except DegenerateConfigError:
-            degenerate += 1
-            continue
-        rec = chirotope_of(config, catalog.k).canonicalize().sign_string()
-        pos = index.get(rec)
-        if pos is None:
-            raise SoundnessError(
-                f"trial {t} (seed {seed}, range {rng_range}) produced a sign map "
-                f"outside the catalog: {rec} from {config!r}"
-            )
-        if witnesses[pos] is None:
-            witnesses[pos] = config
-            new += 1
+    for lo in range(0, trials, TRIAL_BLOCK):
+        block = range(lo, min(lo + TRIAL_BLOCK, trials))
+        rngs = [random.Random(trial_seed(seed, t)) for t in block]
+        X, Y, signs, uniform = draw_uniform(
+            rngs, [used[t % len(ranges)] for t in block], n, k, max_tries
+        )
+        # Canonical records, row after row: uniform maps start with a
+        # nonzero sign.
+        recs = _SIGN_BYTES[signs * signs[:, :1] + 1].tobytes().decode("ascii")
+        width = signs.shape[1]
+        for i, (t, ok) in enumerate(zip(block, uniform.tolist())):
+            if not ok:
+                degenerate += 1
+                continue
+            rec = recs[i * width : (i + 1) * width]
+            pos = index.get(rec)
+            if pos is None:
+                config = PointConfig(zip(X[i].tolist(), Y[i].tolist()))
+                raise SoundnessError(
+                    f"trial {t} (seed {seed}, range {ranges[t % len(ranges)]}) produced a "
+                    f"sign map outside the catalog: {rec} from {config!r}"
+                )
+            if witnesses[pos] is None:
+                witnesses[pos] = PointConfig(zip(X[i].tolist(), Y[i].tolist()))
+                new += 1
     tagged = catalog.with_witnesses(witnesses)
     realizable = tagged.realizable_count()
     stats = RealizeStats(

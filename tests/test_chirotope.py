@@ -39,6 +39,16 @@ def test_constructor_validates():
         Chirotope(4, 0, [1])
 
 
+def test_constructor_rejects_values_outside_int8():
+    for bad in ([300], [-129], [10**30], [float("nan")], ["+"]):
+        with pytest.raises(pm.InputError, match="signs must be -1, 0 or"):
+            Chirotope(4, 2, bad)
+    signs = np.array([1, -1, 1, 1, -1], np.int8)
+    chi = Chirotope(5, 2, signs)
+    signs[0] = -1
+    assert chi.sign_string() == "+-++-"
+
+
 def test_signs_are_immutable():
     chi = Chirotope(4, 2, [1])
     with pytest.raises(ValueError):

@@ -192,3 +192,42 @@ def test_non_ascii_catalog_exits_two(tmp_path):
     result = invoke(["scan", "--catalog", str(cat_path)])
     assert result.exit_code == 2
     assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
+def test_enumerate_jobs_zero_rejected():
+    result = invoke(["enumerate", "--n", "6", "--k", "2", "--jobs", "0"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_enumerate_negative_shards_rejected():
+    result = invoke(["enumerate", "--n", "6", "--k", "2", "--shards", "-2", "--jobs", "2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def _catalog_5_2(tmp_path):
+    cat_path = str(tmp_path / "c.cat")
+    invoke(["enumerate", "--n", "5", "--k", "2", "--out", cat_path])
+    return cat_path
+
+
+def test_realize_negative_range_message(tmp_path):
+    cat_path = _catalog_5_2(tmp_path)
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "5", "--range", "-3"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: coordinate range must be positive\n"
+
+
+def test_realize_negative_trials_rejected(tmp_path):
+    cat_path = _catalog_5_2(tmp_path)
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "-5"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_realize_huge_range_rejected(tmp_path):
+    cat_path = _catalog_5_2(tmp_path)
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "5", "--range", str(10**30)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: coordinate range") and result.stderr.count("\n") == 1

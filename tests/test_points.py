@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import polyom as pm
+from polyom import points
 from polyom.points import DEFAULT_RANGE
 
 
@@ -199,3 +201,130 @@ def test_points_file_comments_and_errors():
         pm.parse_points("# nothing\n")
     with pytest.raises(pm.InputError):
         pm.parse_points("1/0 2\n")
+
+
+def bareiss_signs(xs, ys, k):
+    """Every sorted (k+2)-tuple's sign by Bareiss on the lifted rows."""
+    return [
+        pm.det_sign([pm.lift((xs[i], ys[i]), k) for i in t])
+        for t in itertools.combinations(range(len(xs)), k + 2)
+    ]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the entries that tuple_signs evaluates in integers."""
+    calls = []
+    real = points._exact_sign
+
+    def counting(xs, ys, k):
+        calls.append(k)
+        return real(xs, ys, k)
+
+    monkeypatch.setattr(points, "_exact_sign", counting)
+    return calls
+
+
+def test_tuple_signs_match_bareiss_near_curves(exact_calls):
+    # points on y = q(x) with deg q <= k vanish on every tuple; a +-1
+    # perturbation leaves a tiny sum of huge cancelling terms
+    rng = random.Random(3)
+    compared = 0
+    for k in (1, 2, 3, 5):
+        n = k + 4
+        for base in (10**6, 2**26, 2**52 - 60, 2**60, 2**70):
+            for shift in (0, 1, -1, None):
+                xs = sorted(base + d for d in rng.sample(range(-50, 51), n))
+                coef = [rng.randint(-3, 3) for _ in range(k + 1)]
+                ys = [
+                    base - 2**31
+                    + sum(c * (x - base) ** i for i, c in enumerate(coef))
+                    + (rng.choice((-1, 0, 1)) if shift is None else shift)
+                    for x in xs
+                ]
+                before = len(exact_calls)
+                got = points.tuple_signs([xs], [ys], k)[0].tolist()
+                assert got == bareiss_signs(xs, ys, k), (k, base, shift)
+                compared += len(got)
+                if base >= 2**60:
+                    assert len(exact_calls) - before == len(got)
+                if shift == 0:
+                    assert got == [0] * len(got)
+    assert compared > 0 and exact_calls
+
+
+def test_tuple_signs_fall_back_on_float_overflow(exact_calls):
+    # (10, 8): each term multiplies 36 differences of up to 2^41, far
+    # beyond float64, so the filter sees inf and NaN
+    rng = random.Random(4)
+    r = 2**40
+    rows = []
+    for _ in range(40):
+        xs = sorted(rng.sample(range(-r, r + 1), 10))
+        rows.append((xs, [rng.choice((0, rng.randint(-r, r))) for _ in xs]))
+    got = points.tuple_signs([xs for xs, _ in rows], [ys for _, ys in rows], 8)
+    assert got.shape == (40, 1)
+    for (xs, ys), row in zip(rows, got.tolist()):
+        assert row == bareiss_signs(xs, ys, 8)
+    assert len(exact_calls) == 40
+
+
+def test_tuple_signs_batch_matches_bareiss():
+    rng = random.Random(5)
+    for (n, k, r) in [(6, 2, 8), (7, 3, 10**6), (9, 5, 2**26), (8, 1, 2**52)]:
+        rows = []
+        for _ in range(25):
+            xs = sorted(rng.sample(range(-r, r + 1), n))
+            rows.append((xs, [rng.randint(-r, r) for _ in xs]))
+        got = points.tuple_signs(
+            np.array([xs for xs, _ in rows]), np.array([ys for _, ys in rows]), k
+        )
+        for (xs, ys), row in zip(rows, got.tolist()):
+            assert row == bareiss_signs(xs, ys, k), (n, k, r)
+
+
+def test_rational_configs_match_bareiss():
+    cfg = pm.random_config(7, 2, seed=33)
+    sheared = pm.PointConfig(
+        [(x, Fraction(3, 7) * y + 2 - x + 5 * x * x) for x, y in cfg.points]
+    )
+    rng = random.Random(6)
+    halves = pm.PointConfig(
+        [(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) + Fraction(i, 1000),
+          Fraction(rng.randint(-99, 99), rng.randint(1, 12))) for i in range(8)]
+    )
+    for config, k in [(sheared, 2), (halves, 2), (halves, 3), (halves, 5)]:
+        xs = [x for x, _ in config.points]
+        ys = [y for _, y in config.points]
+        want = bareiss_signs(xs, ys, k)
+        assert pm.chirotope_of(config, k).signs.tolist() == want
+        for c, t in enumerate(itertools.combinations(range(1, len(xs) + 1), k + 2)):
+            flipped = (t[1], t[0]) + t[2:]
+            assert pm.chi_point(config, k, t) == want[c]
+            assert pm.chi_point(config, k, flipped) == -want[c]
+
+
+def test_random_config_matches_draw_loop_reference():
+    # the draw sequence, redraws included, of a plain per-draw loop with
+    # Bareiss signs: x distinct and sorted, then y per point in x-order
+    def reference(n, k, seed, r, max_tries):
+        rng = random.Random(seed)
+        for _ in range(max_tries):
+            xs = sorted(rng.sample(range(-r, r + 1), n))
+            ys = [rng.randint(-r, r) for _ in xs]
+            if 0 not in bareiss_signs(xs, ys, k):
+                return pm.PointConfig(zip(xs, ys))
+        return None
+
+    redrawn = 0
+    for (n, k, r) in [(5, 2, 3), (6, 3, 4), (7, 2, 10**6)]:
+        for seed in range(40):
+            for max_tries in (1, 3):
+                want = reference(n, k, seed, r, max_tries)
+                if want is None:
+                    with pytest.raises(pm.DegenerateConfigError):
+                        pm.random_config(n, k, seed, r, max_tries)
+                else:
+                    assert pm.random_config(n, k, seed, r, max_tries) == want
+                redrawn += max_tries == 3 and want != reference(n, k, seed, r, 1)
+    assert redrawn > 0

@@ -4,7 +4,12 @@ import pytest
 
 import polyom as pm
 from polyom.catalog import Catalog, from_enumeration
-from polyom.realizability import REFERENCE_REALIZABLE, trial_seed
+from polyom.realizability import (
+    DEFAULT_RANGES,
+    REFERENCE_REALIZABLE,
+    TRIAL_BLOCK,
+    trial_seed,
+)
 
 
 def catalog(n, k):
@@ -125,3 +130,75 @@ def test_reference_table_consistent_with_enumeration():
         if isinstance(ref, tuple):
             continue
         assert pm.enumerate_chirotopes(n, k).count == ref, (n, k)
+
+
+def reference_search(catalog, trials, seed, ranges, max_tries=200):
+    """realize_random one trial at a time, through the public helpers."""
+    n, k = catalog.n, catalog.k
+    witnesses = [None] * len(catalog)
+    index = catalog.index_of()
+    degenerate = 0
+    for t in range(trials):
+        rng_range = ranges[t % len(ranges)]
+        try:
+            cfg = pm.random_config(n, k, trial_seed(seed, t), rng_range, max_tries)
+        except pm.DegenerateConfigError:
+            degenerate += 1
+            continue
+        rec = pm.chirotope_of(cfg, k).canonicalize().sign_string()
+        pos = index.get(rec)
+        if pos is None:
+            raise pm.SoundnessError(
+                f"trial {t} (seed {seed}, range {rng_range}) produced a sign map "
+                f"outside the catalog: {rec} from {cfg!r}"
+            )
+        if witnesses[pos] is None:
+            witnesses[pos] = cfg
+    return witnesses, degenerate
+
+
+@pytest.mark.parametrize(
+    "n, k, ranges, max_tries",
+    [
+        (5, 2, (8,), 200),
+        (5, 2, DEFAULT_RANGES, 200),
+        (6, 2, (8,), 200),
+        (6, 2, DEFAULT_RANGES, 200),
+        (5, 2, (2, 3), 2),
+    ],
+)
+def test_block_search_matches_per_trial_reference(n, k, ranges, max_tries):
+    trials = 3 * TRIAL_BLOCK + 7
+    cat = catalog(n, k)
+    tagged, stats = pm.realize_random(cat, trials, seed=5, ranges=ranges, max_tries=max_tries)
+    witnesses, degenerate = reference_search(cat, trials, 5, ranges, max_tries)
+    assert tagged == cat.with_witnesses(witnesses)
+    found = sum(w is not None for w in witnesses)
+    assert stats == pm.RealizeStats(
+        n=n, k=k, trials=trials, seed=5, degenerate=degenerate,
+        new_witnesses=found, realizable=found, unknown=len(cat) - found,
+    )
+    if max_tries == 2:
+        assert degenerate > 0
+
+
+@pytest.mark.parametrize("dropped, ranges", [(22, (8,)), (3, DEFAULT_RANGES)])
+def test_block_search_raises_at_reference_trial(dropped, ranges):
+    full = catalog(6, 2)
+    holed = Catalog(6, 2, tuple(r for i, r in enumerate(full.records) if i != dropped))
+    trials = 3 * TRIAL_BLOCK + 7
+    with pytest.raises(pm.SoundnessError) as want:
+        reference_search(holed, trials, 7, ranges)
+    with pytest.raises(pm.SoundnessError) as got:
+        pm.realize_random(holed, trials, seed=7, ranges=ranges)
+    assert str(got.value) == str(want.value)
+
+
+def test_negative_trials_and_bad_ranges_rejected():
+    cat = catalog(5, 2)
+    with pytest.raises(pm.InputError, match="non-negative"):
+        pm.realize_random(cat, trials=-5, seed=0)
+    with pytest.raises(pm.InputError, match="coordinate range must be positive"):
+        pm.realize_random(cat, trials=1, seed=0, ranges=(-3,))
+    with pytest.raises(pm.InputError, match="too large"):
+        pm.realize_random(cat, trials=1, seed=0, ranges=(10**30,))
