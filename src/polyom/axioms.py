@@ -194,10 +194,10 @@ def check_degree_k(chi):
     return AxiomReport(True, note=note)
 
 
-def _as_matrix(vectors, n=None):
+def _as_matrix(vectors):
     M = np.asarray(vectors, np.int8)
     if M.size == 0:
-        M = M.reshape(0, n if n else 0)
+        M = M.reshape(0, 0)
     if M.ndim != 2:
         raise InputError("expected a list of equal-length sign vectors")
     return M
@@ -317,10 +317,14 @@ def check_cocircuit_axioms(vectors, uniform=False):
     return _c3_general(M)
 
 
-def _vectors_of(obj):
-    if isinstance(obj, Chirotope):
-        return cocircuit_vectors(obj)
-    return _as_matrix(obj)
+def _acyclic_extreme(MA):
+    """The (B,) acyclic mask and (B, n) extreme-element mask of a (B, m, n)
+    batch of sign-vector sets, each already reoriented.  Acyclic: every
+    element sits strictly inside some nonnegative vector.  Extreme: in
+    the zero set of some nonnegative vector."""
+    nonneg = ~(MA == -1).any(2)[:, :, None]
+    acyclic = ((MA == 1) & nonneg).any(1).all(1) & nonneg.any((1, 2))
+    return acyclic, ((MA == 0) & nonneg).any(1)
 
 
 def is_acyclic(obj):
@@ -328,11 +332,8 @@ def is_acyclic(obj):
 
     Accepts a Chirotope (cocircuits are computed) or a vector matrix.
     """
-    M = _vectors_of(obj)
-    if M.shape[0] == 0:
-        return False
-    nonneg = ~(M == -1).any(1)
-    return bool((M[nonneg] == 1).any(0).all())
+    M = cocircuit_vectors(obj) if isinstance(obj, Chirotope) else _as_matrix(obj)
+    return bool(_acyclic_extreme(M[None])[0][0])
 
 
 def extreme_points(chi):
@@ -340,12 +341,10 @@ def extreme_points(chi):
 
     Defined for acyclic chirotopes only; raises InputError otherwise.
     """
-    M = cocircuit_vectors(chi)
-    nonneg = ~(M == -1).any(1)
-    if not bool((M[nonneg] == 1).any(0).all()):
+    acyclic, extreme = _acyclic_extreme(cocircuit_vectors(chi)[None])
+    if not acyclic[0]:
         raise InputError("extreme points need an acyclic chirotope")
-    zero_hit = (M[nonneg] == 0).any(0)
-    return tuple(int(e + 1) for e in np.nonzero(zero_hit)[0])
+    return tuple(int(e) + 1 for e in np.flatnonzero(extreme[0]))
 
 
 @dataclass(frozen=True)
@@ -377,56 +376,43 @@ class ScanReport:
         )
 
 
-def las_vergnas_scan(chi, chunk=1024):
+# Reorientations per batch of the scan: bounds its (batch, m, n) arrays.
+SCAN_CHUNK = 1024
+
+
+def las_vergnas_scan(chi):
     """Count extreme points in every reorientation of a chirotope.
 
     Reorientation by A flips the cocircuit columns in A.  The report
     histograms extreme-point counts over the acyclic reorientations and
     records whether any reaches exactly k+2, the minimum a realized
     configuration exhibits.  best_set is the first reorientation (by
-    subset bitmask) with count k+2, else the first with count closest to
-    it.  Subsets enumerate as bitmasks, element e <-> bit e-1.
+    subset bitmask) whose count is closest to k+2.  Subsets enumerate
+    as bitmasks, element e <-> bit e-1.
     """
     M = cocircuit_vectors(chi)
-    m, n = M.shape
-    r = chi.r
-    Z = M == 0
-    hist = {}
-    acyclic_total = 0
-    best_mask = -1
-    best_count = -1
-    found = False
-    powers = np.arange(n)
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n))
-        flips = 1 - 2 * ((masks[:, None] >> powers[None, :]) & 1)
-        MA = M[None, :, :] * flips[:, None, :].astype(np.int8)
-        nonneg = ~(MA == -1).any(2)
-        pos_cover = ((MA == 1) & nonneg[:, :, None]).any(1)
-        acyclic = pos_cover.all(1)
-        ext = (nonneg[:, :, None] & Z[None, :, :]).any(1)
-        counts = ext.sum(1)
-        for mask, ok, cnt in zip(masks, acyclic, counts):
-            if not ok:
-                continue
-            cnt = int(cnt)
-            acyclic_total += 1
-            hist[cnt] = hist.get(cnt, 0) + 1
-            if best_mask < 0 or abs(cnt - r) < abs(best_count - r):
-                best_mask = int(mask)
-                best_count = cnt
-            if cnt == r and not found:
-                found = True
-                best_mask = int(mask)
-                best_count = cnt
-    best_set = tuple(e + 1 for e in range(n) if best_mask >= 0 and (best_mask >> e) & 1)
+    n, r = chi.n, chi.r
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    flips = (1 - 2 * bits).astype(np.int8)
+    chunks = range(0, 1 << n, SCAN_CHUNK)
+    parts = [_acyclic_extreme(M * flips[s : s + SCAN_CHUNK, None]) for s in chunks]
+    acyclic = np.concatenate([a for a, _ in parts])
+    extreme = np.concatenate([x for _, x in parts])
+    masks = np.flatnonzero(acyclic)
+    counts = extreme[masks].sum(1)
+    values, freq = np.unique(counts, return_counts=True)
+    best_set, best_count = (), -1
+    if len(masks):
+        best = int(np.argmin(np.abs(counts - r)))
+        best_set = tuple(int(e) + 1 for e in np.flatnonzero(bits[masks[best]]))
+        best_count = int(counts[best])
     return ScanReport(
         n=n,
         k=chi.k,
         total=1 << n,
-        acyclic=acyclic_total,
-        histogram=hist,
-        found=found,
+        acyclic=len(masks),
+        histogram=dict(zip(values.tolist(), freq.tolist())),
+        found=best_count == r,
         best_set=best_set,
         best_count=best_count,
     )

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .errors import CatalogIntegrityError, InputError
-from .points import PointConfig, format_points, parse_points
+from .points import PointConfig
 
 _RECORD_CHARS = frozenset("+-0")
 
@@ -34,10 +35,17 @@ class Catalog:
     witnesses: tuple | None = None
 
     def __post_init__(self):
+        if self.k < 1 or self.n < self.k + 2:
+            raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={self.n} k={self.k}")
         width = comb(self.n, self.k + 2)
         for rec in self.records:
             if len(rec) != width or not set(rec) <= _RECORD_CHARS:
                 raise InputError(f"bad record for n={self.n} k={self.k}: {rec!r}")
+            if not rec.lstrip("0").startswith("+"):
+                raise InputError(f"record not canonical (first nonzero sign must be +): {rec!r}")
+        for prev, rec in zip(self.records, self.records[1:]):
+            if prev >= rec:
+                raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
         if self.witnesses is not None and len(self.witnesses) != len(self.records):
             raise InputError("witness list does not match record count")
 
@@ -141,10 +149,11 @@ def parse_catalog(text):
                 raise InputError(
                     f"line {lineno}: witness needs {2 * n} coordinates, got {len(coords)}"
                 )
-            pts = parse_points(
-                "".join(f"{coords[2 * i]} {coords[2 * i + 1]}\n" for i in range(n))
-            )
-            witnesses.append(pts)
+            try:
+                vals = [Fraction(c) for c in coords]
+                witnesses.append(PointConfig(zip(vals[::2], vals[1::2])))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"line {lineno}: bad witness: {exc}") from exc
         else:
             raise InputError(f"line {lineno}: unknown tag {rest[0]!r}")
     return Catalog(

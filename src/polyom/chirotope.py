@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 import numpy as np
 
-from .combinat import all_tuples, lex_rank, sort_with_sign, window_index
+from .combinat import lex_rank, sort_with_sign, tuple_index, window_index
 from .errors import InputError
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
@@ -96,30 +95,30 @@ class Chirotope:
     def reorient(self, subset):
         """Reorientation by A: each tuple sign flips by the parity of
         |complement(tuple) intersect A|."""
-        aset = set(subset)
-        for e in aset:
-            if not 1 <= e <= self.n:
-                raise InputError(f"reorientation element {e} outside [1, {self.n}]")
-        flips = np.empty(len(self.signs), np.int8)
-        for i, t in enumerate(all_tuples(self.n, self.r)):
-            outside = len(aset) - len(aset.intersection(t))
-            flips[i] = -1 if outside & 1 else 1
-        return Chirotope(self.n, self.k, self.signs * flips)
+        inside = self._element_mask(subset, "reorientation element")
+        outside = int(inside.sum()) - inside[tuple_index(self.n, self.k).tuples].sum(1)
+        return Chirotope(self.n, self.k, np.where(outside & 1, -self.signs, self.signs))
 
     def restrict(self, elements):
         """The induced sign map on a subset of the ground set.
 
-        Elements keep their relative order and are relabelled 1..m.
+        Elements keep their relative order and are relabelled 1..m, so
+        the tuples inside the subset keep their lex order.
         """
-        kept = sorted(set(elements))
-        if len(kept) < self.r:
+        kept = self._element_mask(elements, "element")
+        if kept.sum() < self.r:
             raise InputError("restriction needs at least k+2 elements")
-        for e in kept:
+        inside = kept[tuple_index(self.n, self.k).tuples].all(1)
+        return Chirotope(int(kept.sum()), self.k, self.signs[inside])
+
+    def _element_mask(self, elements, what):
+        """Boolean membership over 0..n, index 0 unused."""
+        mask = np.zeros(self.n + 1, bool)
+        for e in set(elements):
             if not 1 <= e <= self.n:
-                raise InputError(f"element {e} outside [1, {self.n}]")
-        rank = {t: i for i, t in enumerate(all_tuples(self.n, self.r))}
-        sub = [self.signs[rank[t]] for t in itertools.combinations(kept, self.r)]
-        return Chirotope(len(kept), self.k, sub)
+                raise InputError(f"{what} {e} outside [1, {self.n}]")
+            mask[e] = True
+        return mask
 
 
 def to_text(chi):
@@ -163,30 +162,10 @@ def cocircuit_vectors(chi):
     order: ascending as int tuples.  For a uniform chirotope every row
     has exactly k+1 zeros (the base positions).
     """
-    n, r = chi.n, chi.r
-    signs = chi.signs
-    rank = {t: i for i, t in enumerate(all_tuples(n, r))}
-    seen = set()
-    rows = []
-    for base in all_tuples(n, r - 1):
-        vec = np.zeros(n, np.int8)
-        nonzero = False
-        for e in range(1, n + 1):
-            if e in base:
-                continue
-            parity, srt = sort_with_sign(base + (e,))
-            v = parity * int(signs[rank[srt]])
-            vec[e - 1] = v
-            nonzero = nonzero or v != 0
-        if not nonzero:
-            continue
-        for cand in (vec, -vec):
-            key = cand.tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(cand.copy())
-    rows.sort(key=lambda v: tuple(int(x) for x in v))
-    out = np.array(rows, np.int8).reshape(len(rows), n)
+    idx = tuple_index(chi.n, chi.k)
+    vecs = idx.parity * chi.signs[idx.rank]
+    vecs = vecs[(vecs != 0).any(1)]
+    out = np.unique(np.concatenate([vecs, -vecs]), axis=0)
     out.setflags(write=False)
     return out
 

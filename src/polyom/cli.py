@@ -14,7 +14,7 @@ import click
 
 from . import catalog as cat_mod
 from .axioms import check_cocircuit_axioms, check_degree_k, las_vergnas_scan
-from .chirotope import cocircuit_vectors, from_text, to_text
+from .chirotope import Chirotope, cocircuit_vectors, from_text, signs_from_string, to_text
 from .enumeration import enumerate_chirotopes, enumerate_sharded, partition_search
 from .errors import DegenerateConfigError, InputError, SoundnessError
 from .points import chirotope_of, parse_points
@@ -124,8 +124,6 @@ def scan(catalog_path):
     """Extreme-point census over all reorientations of each record."""
     catal = cat_mod.read_catalog(catalog_path)
     found_total = 0
-    from .chirotope import signs_from_string, Chirotope
-
     for i, rec in enumerate(catal.records):
         chi = Chirotope(catal.n, catal.k, signs_from_string(rec))
         rep = las_vergnas_scan(chi)

@@ -2,8 +2,9 @@
 
 Tuples are 1-based strictly increasing sequences over [n] = {1, ..., n}.
 A sign map on (k+2)-tuples is stored densely, indexed by lexicographic
-rank.  The window table and the exchange-pair table built here are cached
-per (n, k) because every checker and the enumeration engine consume them.
+rank.  The tuple table, the window table and the exchange-pair table built
+here are cached per (n, k) because the predicate, every checker and the
+enumeration engine consume them.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ def all_tuples(n, r):
     return list(itertools.combinations(range(1, n + 1), r))
 
 
+def _lex_ranks(T, n):
+    """Lex ranks of the sorted r-tuples over [n] along the last axis of T:
+    C(n, r) - 1 - sum_i C(n - t_i, r - i), with i counted from 0."""
+    r = T.shape[-1]
+    binom = np.array([[comb(a, b) for b in range(r + 1)] for a in range(n)], np.int64)
+    return comb(n, r) - 1 - binom[n - T, r - np.arange(r)].sum(-1)
+
+
 @dataclass(frozen=True)
 class WindowIndex:
     """Ranks of the (k+2)-subtuples of every (k+3)-window.
@@ -96,12 +105,10 @@ class WindowIndex:
 def window_index(n, k):
     r = k + 2
     tuples = tuple(all_tuples(n, r))
-    rank = {t: i for i, t in enumerate(tuples)}
-    windows = []
     window_tuples = tuple(all_tuples(n, r + 1))
-    for lam in window_tuples:
-        subs = sorted(itertools.combinations(lam, r))
-        windows.append(tuple(rank[s] for s in subs))
+    W = np.array(window_tuples, np.intp).reshape(-1, r + 1)
+    subs = np.stack([np.delete(W, r - j, 1) for j in range(r + 1)], 1)
+    windows = tuple(map(tuple, _lex_ranks(subs, n).tolist()))
     var_windows = [[] for _ in tuples]
     for w, win in enumerate(windows):
         for v in win:
@@ -110,10 +117,41 @@ def window_index(n, k):
         n=n,
         k=k,
         tuples=tuples,
-        windows=tuple(windows),
+        windows=windows,
         window_tuples=window_tuples,
         var_windows=tuple(tuple(ws) for ws in var_windows),
     )
+
+
+@dataclass(frozen=True)
+class TupleIndex:
+    """Sorted (k+2)-tuples, and where a (k+1)-base plus one element lands.
+
+    tuples (C(n, k+2), k+2): the sorted 1-based tuples in lex order.
+    rank, parity (C(n, k+1), n): for base b in lex order and element e,
+    the lex rank of sorted(b + (e,)) and the parity of the permutation
+    that sorts b + (e,); both are 0 where e lies in b.
+    """
+
+    tuples: np.ndarray
+    rank: np.ndarray
+    parity: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def tuple_index(n, k):
+    r = k + 2
+    tuples = np.array(all_tuples(n, r), np.intp).reshape(-1, r)
+    bases = np.array(all_tuples(n, r - 1), np.intp).reshape(-1, 1, r - 1)
+    elems = np.arange(1, n + 1).reshape(1, n, 1)
+    inside = (bases == elems).any(2)
+    # e appended to the sorted base moves left past every larger element
+    parity = np.where(inside, 0, 1 - 2 * ((bases > elems).sum(2) & 1)).astype(np.int8)
+    srt = np.sort(np.concatenate([bases.repeat(n, 1), elems.repeat(len(bases), 0)], 2), 2)
+    rank = np.where(inside, 0, _lex_ranks(srt, n)).astype(np.intp)
+    for arr in (tuples, rank, parity):
+        arr.setflags(write=False)
+    return TupleIndex(tuples=tuples, rank=rank, parity=parity)
 
 
 @dataclass(frozen=True)
@@ -144,43 +182,30 @@ def exchange_table(n, k, uniform_prune=False):
     chi(lam)chi(mu), so any nowhere-zero sign map passes automatically.
     """
     r = k + 2
-    tuples = all_tuples(n, r)
-    rank = {t: i for i, t in enumerate(tuples)}
-    left, right, coeff, pair_lam, pair_mu = [], [], [], [], []
-    for li, lam in enumerate(tuples):
-        piv = lam[0]
-        rest = lam[1:]
-        for mi, mu in enumerate(tuples):
-            if uniform_prune and piv in mu:
-                continue
-            ls = [li]
-            rs = [mi]
-            cs = [-1]
-            for s in range(r):
-                s1, t1 = sort_with_sign((mu[s],) + rest)
-                s2, t2 = sort_with_sign(mu[:s] + (piv,) + mu[s + 1:])
-                if s1 and s2:
-                    ls.append(rank[t1])
-                    rs.append(rank[t2])
-                    cs.append(s1 * s2)
-                else:
-                    ls.append(0)
-                    rs.append(0)
-                    cs.append(0)
-            left.append(ls)
-            right.append(rs)
-            coeff.append(cs)
-            pair_lam.append(li)
-            pair_mu.append(mi)
-    shape = (len(left), r + 1)
+    idx = tuple_index(n, k)
+    pair_lam, pair_mu = (a.ravel() for a in np.indices((len(idx.tuples),) * 2))
+    if uniform_prune:
+        keep = ~(idx.tuples[pair_mu] == idx.tuples[pair_lam, :1]).any(1)
+        pair_lam, pair_mu = pair_lam[keep], pair_mu[keep]
+    lam, mu = idx.tuples[pair_lam], idx.tuples[pair_mu]
+    # Term s reads (mu_s, lam_2, ..., lam_r) as the base lam_2..lam_r plus
+    # mu_s, and mu with lam_1 at position s as the base mu minus mu_s plus
+    # lam_1.  Moving mu_s and lam_1 to the end takes (r-1) + (r-1-s)
+    # transpositions: the product of the two parities flips by (-1)^s.
+    rest = _lex_ranks(lam[:, 1:], n)[:, None]
+    drop = _lex_ranks(np.stack([np.delete(mu, s, 1) for s in range(r)], 1), n)
+    piv = lam[:, :1] - 1
+    coeff = idx.parity[rest, mu - 1] * idx.parity[drop, piv] * (1 - 2 * (np.arange(r) & 1))
+    left = np.where(coeff != 0, idx.rank[rest, mu - 1], 0)
+    right = np.where(coeff != 0, idx.rank[drop, piv], 0)
     table = ExchangeTable(
         n=n,
         k=k,
-        left=np.array(left, np.int32).reshape(shape),
-        right=np.array(right, np.int32).reshape(shape),
-        coeff=np.array(coeff, np.int8).reshape(shape),
-        pair_lam=np.array(pair_lam, np.int32),
-        pair_mu=np.array(pair_mu, np.int32),
+        left=np.hstack([pair_lam[:, None], left]).astype(np.int32),
+        right=np.hstack([pair_mu[:, None], right]).astype(np.int32),
+        coeff=np.hstack([np.full((len(lam), 1), -1), coeff]).astype(np.int8),
+        pair_lam=pair_lam.astype(np.int32),
+        pair_mu=pair_mu.astype(np.int32),
     )
     for arr in (table.left, table.right, table.coeff, table.pair_lam, table.pair_mu):
         arr.setflags(write=False)

@@ -41,6 +41,7 @@ from math import comb, lcm
 import numpy as np
 
 from .chirotope import Chirotope
+from .combinat import tuple_index
 from .errors import DegenerateConfigError, InputError
 
 DEFAULT_RANGE = 10**6
@@ -160,7 +161,7 @@ def _sign_tables(n, k):
     alt (r,): the cofactor signs (-1)^(j+k+1).
     """
     r = k + 2
-    cols = np.array(list(itertools.combinations(range(n), r)), np.intp).reshape(-1, r)
+    cols = tuple_index(n, k).tuples - 1
     pairs = list(itertools.combinations(range(r), 2))
     pa = np.array([a for a, _ in pairs], np.intp)
     pb = np.array([b for _, b in pairs], np.intp)

@@ -79,7 +79,7 @@ def soundness_suite():
             vecs = pm.cocircuit_vectors(chi)
             if not pm.check_cocircuit_axioms(vecs, uniform=True).passed:
                 failures.append((n, k, seed, "cocircuits"))
-            if not pm.is_acyclic(chi):
+            if not pm.is_acyclic(vecs):
                 failures.append((n, k, seed, "acyclic"))
             if members is not None:
                 membership_checks += 1

@@ -23,3 +23,12 @@ def test_every_traced_target_resolves():
 def test_enumeration_result_keeps_unimodal_count():
     res = pm.enumerate_chirotopes(5, 2)
     assert res.unimodal_count == res.count == 5
+
+
+def test_benchmark_workloads_import_and_resolve():
+    workloads = importlib.import_module("workloads")
+    assert workloads._CLEAR_INDEX_TABLES
+    for clear in workloads._CLEAR_INDEX_TABLES:
+        assert callable(clear)
+    for obj in (workloads.Chirotope.reorient, workloads.is_acyclic, workloads.signs_from_string):
+        assert callable(obj)

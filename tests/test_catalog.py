@@ -121,3 +121,43 @@ def test_index_of():
     idx = cat.index_of()
     assert idx["+" * 15] == 0
     assert all(cat.records[i] == rec for rec, i in idx.items())
+
+
+def test_non_canonical_records_rejected():
+    for bad in ("-++++", "0-+++", "00000"):
+        with pytest.raises(pm.InputError, match="not canonical"):
+            Catalog(5, 2, (bad,))
+    assert Catalog(5, 2, ("0+---",)).records == ("0+---",)
+
+
+def test_records_must_strictly_increase():
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    for bad in ((recs[0], recs[0]), (recs[1], recs[0]), tuple(recs) + (recs[-1],)):
+        with pytest.raises(pm.InputError, match="strictly increasing"):
+            Catalog(5, 2, bad)
+    text = rehash(5, 2, [recs[0], recs[2], recs[1]])
+    with pytest.raises(pm.InputError, match="strictly increasing"):
+        parse_catalog(text)
+
+
+def test_header_degree_and_size_checked():
+    for n, k in ((4, 0), (5, -1), (3, 2), (5, 4)):
+        with pytest.raises(pm.InputError, match="k >= 1 and n >= k\\+2"):
+            Catalog(n, k, ())
+    with pytest.raises(pm.InputError, match="k >= 1"):
+        parse_catalog(rehash(3, 2, []))
+
+
+def test_bad_witness_reports_catalog_line():
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    good = "0 0 1 1 2 8 3 27 4 64"
+    cases = (
+        ("0 0 1 1 2 8 3 27 4 x", "Invalid literal"),
+        ("0 0 1 1 2 8 3 27 4 1/0", "Fraction(1, 0)"),
+        ("0 0 1 1 2 8 3 27 3 64", "share x"),
+    )
+    for witness, reason in cases:
+        lines = [f"{recs[0]} R {good}", f"{recs[1]} U", f"{recs[2]} R {witness}"]
+        with pytest.raises(pm.InputError, match="^line 4: bad witness") as info:
+            parse_catalog(rehash(5, 2, lines))
+        assert reason in str(info.value)

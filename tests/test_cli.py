@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from click.testing import CliRunner
@@ -231,3 +232,16 @@ def test_realize_huge_range_rejected(tmp_path):
     result = invoke(["realize", "--catalog", cat_path, "--trials", "5", "--range", str(10**30)])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: coordinate range") and result.stderr.count("\n") == 1
+
+
+def test_realize_duplicated_record_exits_two(tmp_path):
+    cat_path = tmp_path / "c.cat"
+    invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])
+    recs = pm.read_catalog(cat_path).records
+    body = "".join(r + "\n" for r in (recs[0], recs[0]) + recs[2:])
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    cat_path.write_text(f"n=5 k=2 count=5 sha256={digest}\n" + body)
+    result = invoke(["realize", "--catalog", str(cat_path), "--trials", "200"])
+    assert result.exit_code == 2
+    assert "strictly increasing" in result.stderr
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1

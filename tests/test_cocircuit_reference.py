@@ -1,0 +1,169 @@
+"""The array code of the cocircuit layer against loop references.
+
+The references are the straightforward loops: one sorted tuple per
+(base, element) pair for the cocircuits, a per-mask bookkeeping loop for
+the scan's histogram and best reorientation, one tuple at a time for
+reorientation and restriction.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+import polyom as pm
+from polyom.axioms import ScanReport
+from polyom.combinat import all_tuples, sort_with_sign
+
+
+def reference_cocircuit_vectors(chi):
+    n, r = chi.n, chi.r
+    rank = {t: i for i, t in enumerate(all_tuples(n, r))}
+    seen = set()
+    rows = []
+    for base in all_tuples(n, r - 1):
+        vec = np.zeros(n, np.int8)
+        for e in range(1, n + 1):
+            if e not in base:
+                parity, srt = sort_with_sign(base + (e,))
+                vec[e - 1] = parity * int(chi.signs[rank[srt]])
+        if not vec.any():
+            continue
+        for cand in (vec, -vec):
+            if cand.tobytes() not in seen:
+                seen.add(cand.tobytes())
+                rows.append(cand.copy())
+    rows.sort(key=lambda v: tuple(int(x) for x in v))
+    return np.array(rows, np.int8).reshape(len(rows), n)
+
+
+def reference_scan(chi, M, chunk=1024):
+    m, n = M.shape
+    r = chi.r
+    Z = M == 0
+    hist = {}
+    acyclic_total = 0
+    best_mask = -1
+    best_count = -1
+    found = False
+    powers = np.arange(n)
+    for start in range(0, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n))
+        flips = 1 - 2 * ((masks[:, None] >> powers[None, :]) & 1)
+        MA = M[None, :, :] * flips[:, None, :].astype(np.int8)
+        nonneg = ~(MA == -1).any(2)
+        pos_cover = ((MA == 1) & nonneg[:, :, None]).any(1)
+        acyclic = pos_cover.all(1)
+        ext = (nonneg[:, :, None] & Z[None, :, :]).any(1)
+        counts = ext.sum(1)
+        for mask, ok, cnt in zip(masks, acyclic, counts):
+            if not ok:
+                continue
+            cnt = int(cnt)
+            acyclic_total += 1
+            hist[cnt] = hist.get(cnt, 0) + 1
+            if best_mask < 0 or abs(cnt - r) < abs(best_count - r):
+                best_mask = int(mask)
+                best_count = cnt
+            if cnt == r and not found:
+                found = True
+                best_mask = int(mask)
+                best_count = cnt
+    best_set = tuple(e + 1 for e in range(n) if best_mask >= 0 and (best_mask >> e) & 1)
+    return ScanReport(n, chi.k, 1 << n, acyclic_total, hist, found, best_set, best_count)
+
+
+def reference_reorient(chi, subset):
+    a = set(subset)
+    signs = [
+        -s if (len(a) - len(a.intersection(t))) & 1 else s
+        for s, t in zip(chi.signs.tolist(), all_tuples(chi.n, chi.r))
+    ]
+    return pm.Chirotope(chi.n, chi.k, signs)
+
+
+def reference_restrict(chi, elements):
+    kept = sorted(set(elements))
+    rank = {t: i for i, t in enumerate(all_tuples(chi.n, chi.r))}
+    sub = [chi.signs[rank[t]] for t in itertools.combinations(kept, chi.r)]
+    return pm.Chirotope(len(kept), chi.k, sub)
+
+
+def catalog_maps(n, k, stride=1):
+    return list(pm.enumerate_chirotopes(n, k).chirotopes())[::stride]
+
+
+def grid_maps(seed, n, k, count):
+    """Seeded non-uniform maps of point sets with coordinates in [-3, 3]."""
+    rng = random.Random(f"grid-{seed}-{n}-{k}")
+    out = []
+    while len(out) < count:
+        xs = rng.sample(range(-3, 4), n)
+        chi = pm.chirotope_of(pm.PointConfig([(x, rng.randint(-3, 3)) for x in xs]), k)
+        if not chi.is_uniform():
+            out.append(chi)
+    return out
+
+
+CASES = {
+    "6_2": lambda: catalog_maps(6, 2),
+    "7_2": lambda: catalog_maps(7, 2),
+    "8_4": lambda: catalog_maps(8, 4, stride=8),
+    "9_5": lambda: catalog_maps(9, 5, stride=40),
+    "grid": lambda: (
+        grid_maps(0, 6, 2, 30) + grid_maps(1, 7, 2, 20) + grid_maps(2, 6, 1, 20) + grid_maps(3, 7, 3, 10)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cocircuits_and_scan_match_reference(case):
+    for chi in CASES[case]():
+        want = reference_cocircuit_vectors(chi)
+        got = pm.cocircuit_vectors(chi)
+        assert got.dtype == np.int8 and got.shape == want.shape, chi
+        assert np.array_equal(got, want), chi
+        assert not got.flags.writeable
+        assert pm.las_vergnas_scan(chi) == reference_scan(chi, want), chi
+
+
+def test_scan_without_acyclic_reorientation():
+    zero = pm.Chirotope(5, 2, [0] * 5)
+    rep = pm.las_vergnas_scan(zero)
+    assert rep == reference_scan(zero, reference_cocircuit_vectors(zero))
+    assert (rep.acyclic, rep.found, rep.best_set, rep.best_count) == (0, False, (), -1)
+    assert pm.cocircuit_vectors(zero).shape == (0, 5)
+    assert not pm.is_acyclic(zero)
+
+
+def test_is_acyclic_and_extreme_points_match_scan_counts():
+    for chi in catalog_maps(6, 2)[::5] + grid_maps(4, 6, 2, 10):
+        hist = {}
+        for mask in range(1 << chi.n):
+            re = chi.reorient([e + 1 for e in range(chi.n) if mask >> e & 1])
+            vecs = pm.cocircuit_vectors(re)
+            assert pm.is_acyclic(re) == pm.is_acyclic(vecs)
+            if pm.is_acyclic(vecs):
+                cnt = len(pm.extreme_points(re))
+                hist[cnt] = hist.get(cnt, 0) + 1
+        assert hist == pm.las_vergnas_scan(chi).histogram
+
+
+def test_reorient_and_restrict_match_reference():
+    maps = catalog_maps(6, 2)[::7] + catalog_maps(7, 3)[::20] + grid_maps(5, 7, 2, 4)
+    for chi in maps:
+        ground = range(1, chi.n + 1)
+        for size in range(chi.n + 1):
+            for subset in itertools.combinations(ground, size):
+                assert chi.reorient(subset) == reference_reorient(chi, subset)
+                if size >= chi.r:
+                    assert chi.restrict(subset) == reference_restrict(chi, subset)
+    chi = maps[0]
+    assert chi.reorient([3, 3, 1]) == reference_reorient(chi, [1, 3])
+    assert chi.restrict([6, 1, 2, 4, 2]) == reference_restrict(chi, [1, 2, 4, 6])
+    for bad in ([0], [chi.n + 1]):
+        with pytest.raises(pm.InputError):
+            chi.reorient(bad)
+        with pytest.raises(pm.InputError):
+            chi.restrict(list(ground) + bad)

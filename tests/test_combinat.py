@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from polyom.combinat import (
@@ -10,6 +11,7 @@ from polyom.combinat import (
     lex_rank,
     lex_unrank,
     sort_with_sign,
+    tuple_index,
     window_index,
 )
 from polyom.errors import InputError
@@ -102,3 +104,61 @@ def test_exchange_table_prune_drops_pivot_in_mu():
         assert wi.tuples[li][0] not in wi.tuples[mi]
     for li, mi in pairs_full - pairs_pruned:
         assert wi.tuples[li][0] in wi.tuples[mi]
+
+
+TABLE_CASES = [(n, k) for k in range(1, 6) for n in range(k + 2, 10) if n - k <= 5 or k == 1]
+
+
+def reference_exchange_rows(n, k, uniform_prune):
+    """The pair table row by row, one sort_with_sign per factor."""
+    r = k + 2
+    tuples = all_tuples(n, r)
+    rank = {t: i for i, t in enumerate(tuples)}
+    rows = []
+    for li, lam in enumerate(tuples):
+        piv, rest = lam[0], lam[1:]
+        for mi, mu in enumerate(tuples):
+            if uniform_prune and piv in mu:
+                continue
+            ls, rs, cs = [li], [mi], [-1]
+            for s in range(r):
+                s1, t1 = sort_with_sign((mu[s],) + rest)
+                s2, t2 = sort_with_sign(mu[:s] + (piv,) + mu[s + 1:])
+                live = bool(s1 and s2)
+                ls.append(rank[t1] if live else 0)
+                rs.append(rank[t2] if live else 0)
+                cs.append(s1 * s2)
+            rows.append((li, mi, ls, rs, cs))
+    return rows
+
+
+@pytest.mark.parametrize("n,k", TABLE_CASES)
+def test_exchange_table_matches_per_pair_reference(n, k):
+    for prune in (False, True):
+        tab = exchange_table(n, k, prune)
+        ref = reference_exchange_rows(n, k, prune)
+        assert (tab.left.dtype, tab.right.dtype, tab.coeff.dtype) == (np.int32, np.int32, np.int8)
+        assert tab.pair_lam.tolist() == [row[0] for row in ref]
+        assert tab.pair_mu.tolist() == [row[1] for row in ref]
+        assert tab.left.tolist() == [row[2] for row in ref]
+        assert tab.right.tolist() == [row[3] for row in ref]
+        assert tab.coeff.tolist() == [row[4] for row in ref]
+
+
+@pytest.mark.parametrize("n,k", TABLE_CASES)
+def test_tuple_and_window_tables_match_per_tuple_reference(n, k):
+    r = k + 2
+    idx = tuple_index(n, k)
+    tuples = all_tuples(n, r)
+    assert [tuple(t) for t in idx.tuples.tolist()] == tuples
+    for b, base in enumerate(all_tuples(n, r - 1)):
+        for e in range(1, n + 1):
+            parity, srt = sort_with_sign(base + (e,))
+            assert idx.parity[b, e - 1] == parity
+            assert idx.rank[b, e - 1] == (lex_rank(srt, n) if parity else 0)
+    rank = {t: i for i, t in enumerate(tuples)}
+    wi = window_index(n, k)
+    assert wi.window_tuples == tuple(all_tuples(n, r + 1))
+    assert wi.windows == tuple(
+        tuple(rank[s] for s in sorted(itertools.combinations(lam, r))) for lam in wi.window_tuples
+    )
