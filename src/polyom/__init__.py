@@ -36,7 +36,6 @@ from .enumeration import (
     enumerate_sharded,
     merge_results,
     partition_search,
-    propagate_window,
 )
 from .errors import (
     CatalogIntegrityError,
@@ -106,7 +105,6 @@ __all__ = [
     "merge_results",
     "parse_points",
     "partition_search",
-    "propagate_window",
     "random_config",
     "read_catalog",
     "realize_random",

@@ -88,7 +88,7 @@ def format_catalog(catalog):
         _record_line(rec, catalog.witnesses[i] if catalog.tagged else None, catalog.tagged)
         for i, rec in enumerate(catalog.records)
     ]
-    body = "".join(line + "\n" for line in lines)
+    body = "\n".join(lines + [""])
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     head = f"n={catalog.n} k={catalog.k} count={len(catalog.records)} sha256={digest}\n"
     return head + body
@@ -119,7 +119,7 @@ def parse_catalog(text):
         raise CatalogIntegrityError(
             f"header says {count} records, file has {len(body_lines)}"
         )
-    body = "".join(line + "\n" for line in body_lines)
+    body = "\n".join(body_lines + [""])
     actual = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
     if actual != digest:
         raise CatalogIntegrityError("catalog checksum mismatch")

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 a check or soundness failure, 2 malformed
-input (also what click uses for bad flags).  Summary lines are
+input (also what click uses for bad flags) or a worker process of
+`enumerate --jobs` that died.  Summary lines are
 machine-parseable, one key=value pair per token.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import click
 
@@ -27,7 +29,7 @@ def _guarded(fn):
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except InputError as exc:
+        except (InputError, BrokenProcessPool) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (SoundnessError, DegenerateConfigError) as exc:
@@ -83,15 +85,14 @@ def check(chirotope_file, as_json):
 @click.option("--out", type=click.Path(dir_okay=False), help="Catalog output path.")
 @click.option("--shards", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--shard", type=int, default=None, help="Run only this shard.")
-@click.option("--prefix-depth", type=int, default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @_guarded
-def enumerate_cmd(n, k, out, shards, shard, prefix_depth, jobs):
+def enumerate_cmd(n, k, out, shards, shard, jobs):
     """Enumerate all degree-k chirotopes on [n] up to global sign."""
     if shard is not None:
-        result = partition_search(n, k, prefix_depth, shard, shards)
+        result = partition_search(n, k, shard, shards)
     elif shards > 1 or jobs > 1:
-        result = enumerate_sharded(n, k, max(shards, jobs), jobs=jobs, prefix_depth=prefix_depth)
+        result = enumerate_sharded(n, k, max(shards, jobs), jobs=jobs)
     else:
         result = enumerate_chirotopes(n, k)
     if out:

@@ -107,7 +107,7 @@ def window_index(n, k):
     tuples = tuple(all_tuples(n, r))
     window_tuples = tuple(all_tuples(n, r + 1))
     W = np.array(window_tuples, np.intp).reshape(-1, r + 1)
-    subs = np.stack([np.delete(W, r - j, 1) for j in range(r + 1)], 1)
+    subs = W[:, [[i for i in range(r + 1) if i != r - j] for j in range(r + 1)]]
     windows = tuple(map(tuple, _lex_ranks(subs, n).tolist()))
     var_windows = [[] for _ in tuples]
     for w, win in enumerate(windows):

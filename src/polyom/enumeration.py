@@ -1,28 +1,45 @@
-"""Exhaustive search for sign maps passing the degree-k axioms.
+"""Enumeration of degree-k chirotopes by single-element extension.
 
-The search assigns +1/-1 to the lex-ordered (k+2)-tuples and keeps
-every (k+3)-window sign sequence unimodal through arc-consistency
-propagation.  The lex-first tuple is pinned to +1, so exactly one
-representative of each {chi, -chi} pair is produced, in lex order of
-the sign strings.
+A nowhere-zero map sigma on the r-subsets of [n], r = k+2, is a
+signotope of rank r when its sign sequence changes at most once on
+every (r+1)-subset X, read in lex order of the r-subsets of X (the
+largest element deleted first).  Signotopes of rank k+2 are the
+elements of the higher Bruhat order B(n, k+1) (Felsner and Weil,
+"Sweeps, arrangements and signotopes", Discrete Appl. Math. 109,
+2001).  Through Ziegler's bijection between B(n, k+1) and the uniform
+single-element extensions of an alternating oriented matroid, each one
+is a uniform chirotope up to reorientation (Ziegler, "Higher Bruhat
+orders and cyclic hyperplane arrangements", Topology 32, 1993).
+Reorientation leaves B3 invariant, so no catalog row needs the exchange
+condition checked; exchange_filter_mask is kept as the reference check
+that the tests run over whole catalogs.  Conversely every degree-k
+chirotope is unimodal on its windows, so the degree-k chirotopes on [n]
+are exactly the rank-(k+2) signotopes.
 
-No complete assignment needs the exchange condition (B3) checked.  A
-nowhere-zero map on the (k+2)-subsets of [n] whose sign sequence
-changes at most once on every (k+3)-window is a signotope of rank k+2,
-and signotopes of rank k+2 are the elements of the higher Bruhat order
-B(n, k+1) (Felsner and Weil, "Sweeps, arrangements and signotopes",
-Discrete Appl. Math. 109, 2001).  Through Ziegler's bijection between
-B(n, k+1) and the uniform single-element extensions of an alternating
-oriented matroid, each one is a uniform chirotope up to reorientation
-(Ziegler, "Higher Bruhat orders and cyclic hyperplane arrangements",
-Topology 32, 1993).  Reorientation leaves B3 invariant, so every map
-the search emits satisfies it.  exchange_filter_mask is kept as the
-reference check that the tests run over whole catalogs.
+Deletion and contraction.  A rank-r signotope sigma on [n] splits into
+its deletion P, sigma on the r-subsets of [n-1], and its contraction
+Q(A) = sigma(A + {n}) on the (r-1)-subsets A of [n-1].  P is a rank-r
+and Q a rank-(r-1) signotope on [n-1].  The windows of sigma without n
+are P's windows; the window A + {n} reads P(A) followed by Q's window on
+A.  So sigma -> (P, Q) is a bijection onto the pairs in which P(A)
+equals the first sign of Q's window on A wherever that window changes
+sign, and P is free on the other r-subsets (the single-element
+extensions of higher Bruhat orders in Ziegler 1993 and Felsner-Weil
+2001).
+
+The join.  enumerate_chirotopes builds the full (both-sign) signotope
+sets by recursion on (n-1, r) and (n-1, r-1), down to rank 1 (every
+map), rank n (both signs of the one tuple) and rank > n (the empty
+map), with a memo that lives for one call.  At each level the rows of Q are grouped by their key, the
+positions they force and the values there, and each group is paired
+with the rows of P that carry those values.  The top level pairs only
+the rows whose lex-first tuple (1, ..., k+2) is +, one of each
+{sigma, -sigma}, and sorts them as byte strings.  A shard joins only
+the keys whose index is its own modulo the shard count.
 """
 
 from __future__ import annotations
 
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -30,168 +47,13 @@ from functools import partial
 import numpy as np
 
 from .chirotope import Chirotope
-from .combinat import exchange_table, window_index
+from .combinat import exchange_table, tuple_index, window_index
 from .errors import InputError
 
 _PLUS = ord("+")
 _MINUS = ord("-")
-
-
-def _propagate(queue, x, xb, trail, windows, var_windows):
-    """Arc-consistency from the variables in queue (0 = undecided).
-
-    x holds the signs and xb their '+'/'-' codes.  Every window touching
-    a queued variable must keep a completion with at most one sign
-    change: with both signs present, undecided cells before the last
-    leading-sign cell take the leading sign and cells after the first
-    opposite cell take the opposite; with one sign present, cells
-    strictly inside its span take it.  Forced variables are recorded on
-    trail and queued in turn.  Returns False on a conflict.
-    """
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in var_windows[v]:
-            win = windows[w]
-            s = 0
-            p_first = p_last = q_first = -1
-            for i, u in enumerate(win):
-                val = x[u]
-                if val == 0:
-                    continue
-                if s == 0:
-                    s = val
-                    p_first = p_last = i
-                elif val == s:
-                    if q_first >= 0:
-                        return False
-                    p_last = i
-                elif q_first < 0:
-                    q_first = i
-            if s == 0:
-                continue
-            if q_first >= 0:
-                for i in range(p_last):
-                    u = win[i]
-                    if x[u] == 0:
-                        x[u] = s
-                        xb[u] = _PLUS if s > 0 else _MINUS
-                        trail.append(u)
-                        queue.append(u)
-                for i in range(q_first + 1, len(win)):
-                    u = win[i]
-                    if x[u] == 0:
-                        x[u] = -s
-                        xb[u] = _MINUS if s > 0 else _PLUS
-                        trail.append(u)
-                        queue.append(u)
-            else:
-                for i in range(p_first + 1, p_last):
-                    u = win[i]
-                    if x[u] == 0:
-                        x[u] = s
-                        xb[u] = _PLUS if s > 0 else _MINUS
-                        trail.append(u)
-                        queue.append(u)
-    return True
-
-
-def propagate_window(values):
-    """Arc-consistency on one window's sign sequence (0 = undecided).
-
-    Returns None when no completion with at most one sign change exists,
-    else the sequence with every forced entry filled in, as the search
-    propagates it.
-    """
-    vals = list(values)
-    cells = tuple(range(len(vals)))
-    ok = _propagate(list(cells), vals, bytearray(len(vals)), [], (cells,), ((0,),) * len(vals))
-    return vals if ok else None
-
-
-def _search_leaves(n, k, prefix_depth=None, shard=None, of_shards=None):
-    """Depth-first search over unimodal-consistent assignments.
-
-    Returns a bytearray of '+'/'-' rows in emission order, which is lex
-    order of the sign strings.  With shard arguments, only leaves whose
-    branch-decision prefix hashes into the shard are emitted; shallow
-    leaves hash their full decision string.
-    """
-    wi = window_index(n, k)
-    windows = wi.windows
-    var_windows = wi.var_windows
-    T = len(wi.tuples)
-    sharded = of_shards is not None and of_shards > 1
-    crc = zlib.crc32
-
-    x = [0] * T
-    xb = bytearray(T)
-    trail = []
-
-    def next_var(start):
-        for v in range(start, T):
-            if x[v] == 0:
-                return v
-        return -1
-
-    buf = bytearray()
-
-    # canonical pair representative: lex-first tuple positive
-    x[0] = 1
-    xb[0] = _PLUS
-    trail.append(0)
-    if not _propagate([0], x, xb, trail, windows, var_windows):
-        return buf
-
-    # depth-0 prefix: the whole tree is one hash class
-    if sharded and prefix_depth == 0 and crc(b"") % of_shards != shard:
-        return buf
-
-    decisions = bytearray(T)
-
-    v0 = next_var(1)
-    if v0 < 0:
-        if not sharded or crc(b"") % of_shards == shard:
-            buf += xb
-        return buf
-
-    stack = [[v0, 0, len(trail)]]
-    while stack:
-        frame = stack[-1]
-        var, phase, mark = frame
-        while len(trail) > mark:
-            x[trail.pop()] = 0
-        if phase == 2:
-            stack.pop()
-            continue
-        frame[1] += 1
-        sign = 1 if phase == 0 else -1
-        depth = len(stack) - 1
-        decisions[depth] = _PLUS if sign > 0 else _MINUS
-        if (
-            sharded
-            and depth + 1 == prefix_depth
-            and crc(bytes(decisions[:prefix_depth])) % of_shards != shard
-        ):
-            continue
-        x[var] = sign
-        xb[var] = decisions[depth]
-        trail.append(var)
-        if not _propagate([var], x, xb, trail, windows, var_windows):
-            continue
-        nv = next_var(var + 1)
-        if nv < 0:
-            if (
-                sharded
-                and depth + 1 < prefix_depth
-                and crc(bytes(decisions[: depth + 1])) % of_shards != shard
-            ):
-                continue
-            buf += xb
-            continue
-        stack.append([nv, 0, len(trail)])
-    return buf
+# elements (keys x P rows x words) per temporary of the key match
+_MATCH_CHUNK = 1 << 20
 
 
 def _chars_to_signs(chars):
@@ -223,10 +85,101 @@ def exchange_filter_mask(chars, n, k):
     return mask
 
 
+def _pack(bits, bitorder="little"):
+    """Boolean rows as bytes, zero-padded to whole 64-bit words."""
+    m, c = bits.shape
+    out = np.zeros((m, 8 * max(1, -(-c // 64))), np.uint8)
+    out[:, : -(-c // 8)] = np.packbits(bits, axis=1, bitorder=bitorder)
+    return out
+
+
+def _extend(P, Q, n, r, shard=0, of_shards=1):
+    """Rank-r signotopes on [n] from deletions P and contractions Q.
+
+    P and Q are boolean rows (True = +) over the lex r-subsets and
+    (r-1)-subsets of [n-1].  Returns every valid pair (P row, Q row)
+    placed into lex tuple order on [n], keeping only the Q keys whose
+    index in sorted key order is shard modulo of_shards.
+    """
+    wins = np.array(window_index(n - 1, r - 3).windows, np.intp).reshape(-1, r)
+    first = Q[:, wins[:, 0]]
+    forced = first != Q[:, wins[:, -1]]
+    keys = np.hstack([_pack(forced), _pack(first & forced)]).view("<u8")
+    words = keys.shape[1] // 2
+    by_key = np.lexsort(keys.T[::-1])
+    keys = keys[by_key]
+    new = np.ones(len(keys), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(keys))
+    starts, counts = starts[shard::of_shards], counts[shard::of_shards]
+    mask, value = keys[starts, :words], keys[starts, words:]
+
+    # key g matches P row j where P agrees with it on its mask
+    Pw = _pack(P).view("<u8")
+    step = max(1, _MATCH_CHUNK // max(1, Pw.size))
+    hit_key, hit_p = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for lo in range(0, len(starts), step):
+        ok = ((Pw[None] & mask[lo : lo + step, None]) == value[lo : lo + step, None]).all(2)
+        g, j = np.nonzero(ok)
+        hit_key.append(g + lo)
+        hit_p.append(j)
+    hit_key, hit_p = np.concatenate(hit_key), np.concatenate(hit_p)
+
+    # each hit pairs its P row with every Q row of its key
+    reps = counts[hit_key]
+    q = np.repeat(starts[hit_key] - (np.cumsum(reps) - reps), reps)
+    q += np.arange(len(q))
+    q = by_key[q]
+
+    has_n = tuple_index(n, r - 2).tuples[:, -1] == n
+    out = np.empty((len(q), len(has_n)), bool)
+    out[:, ~has_n] = P[np.repeat(hit_p, reps)]
+    out[:, has_n] = Q[q]
+    return out
+
+
+def _signotopes(n, r, memo):
+    """All rank-r signotopes on [n], both signs, as boolean rows."""
+    if (n, r) not in memo:
+        if r > n:
+            out = np.ones((1, 0), bool)
+        elif r == n:
+            out = np.array([[True], [False]])
+        elif r == 1:
+            out = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+        else:
+            out = _extend(_signotopes(n - 1, r, memo), _signotopes(n - 1, r - 1, memo), n, r)
+        memo[(n, r)] = out
+    return memo[(n, r)]
+
+
+def _canonical(n, k, shard=0, of_shards=1):
+    """One shard of the canonical catalog, sorted, as '+'/'-' rows."""
+    r = k + 2
+    memo = {}
+    P, Q = _signotopes(n - 1, r, memo), _signotopes(n - 1, r - 1, memo)
+    # the lex-first tuple (1, ..., r) lies in P unless n = r
+    if n > r:
+        P = P[P[:, 0]]
+    else:
+        Q = Q[Q[:, 0]]
+    del memo  # frees the lower levels before the top join
+    plus = _extend(P, Q, n, r, shard, of_shards)
+    # '+' sorts before '-', and rows are distinct: lex order of the
+    # strings is descending order of the plus bits, first column highest
+    order = np.lexsort(_pack(plus, "big").view(">u8").T[::-1])[::-1]
+    chars = plus[order].view(np.uint8)
+    chars <<= 1
+    np.subtract(_MINUS, chars, out=chars)  # '+' is '-' - 2
+    chars.setflags(write=False)
+    return EnumerationResult(n=n, k=k, chars=chars)
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Search output: one '+'/'-' row per object in chars, rows in lex
-    order of the sign strings."""
+    """Enumeration output: one '+'/'-' row per object in chars, rows in
+    lex order of the sign strings."""
 
     n: int
     k: int
@@ -238,8 +191,8 @@ class EnumerationResult:
 
     @property
     def unimodal_count(self):
-        """Rows the search emitted; equal to count, since every unimodal
-        map is a chirotope (see the module docstring)."""
+        """Rows unimodal on every window; equal to count, since every
+        unimodal map is a chirotope (see the module docstring)."""
         return self.count
 
     def strings(self):
@@ -256,46 +209,31 @@ class EnumerationResult:
         return f"unimodal={self.unimodal_count} degree_k={self.count}"
 
 
-def _result(n, k, buf):
-    T = len(window_index(n, k).tuples)
-    chars = np.frombuffer(buf, np.uint8).reshape(-1, T)
-    chars.setflags(write=False)
-    return EnumerationResult(n=n, k=k, chars=chars)
-
-
-def enumerate_chirotopes(n, k):
-    """All degree-k chirotopes on [n] up to global sign, lex order."""
+def _check_case(n, k):
     if k < 1:
         raise InputError(f"degree must be at least 1, got {k}")
     if n < k + 2:
         raise InputError(f"need n >= k+2, got n={n} k={k}")
-    return _result(n, k, _search_leaves(n, k))
 
 
-def default_prefix_depth(n, k):
-    """Branch depth whose decision prefix routes work to shards."""
-    T = len(window_index(n, k).tuples)
-    return max(0, min(12, T - 1))
+def enumerate_chirotopes(n, k):
+    """All degree-k chirotopes on [n] up to global sign, lex order."""
+    _check_case(n, k)
+    return _canonical(n, k)
 
 
-def partition_search(n, k, prefix_depth, shard, of_shards):
-    """One shard of the search space; the union over shards is exact.
+def partition_search(n, k, shard, of_shards):
+    """One shard of the catalog; the union over shards is exact.
 
-    A subtree at the prefix depth belongs to the shard its decision
-    prefix hashes to (crc32 mod of_shards); leaves above that depth hash
-    their full decision string.
+    The shard joins the contraction keys whose index in sorted key order
+    is shard modulo of_shards, so shards are disjoint and deterministic.
     """
     if of_shards < 1:
         raise InputError(f"of_shards must be positive, got {of_shards}")
     if not 0 <= shard < of_shards:
         raise InputError(f"shard {shard} outside [0, {of_shards})")
-    if prefix_depth is None:
-        prefix_depth = default_prefix_depth(n, k)
-    if prefix_depth < 0:
-        raise InputError(f"prefix depth must be nonnegative, got {prefix_depth}")
-    if k < 1 or n < k + 2:
-        raise InputError(f"need n >= k+2 and k >= 1, got n={n} k={k}")
-    return _result(n, k, _search_leaves(n, k, prefix_depth, shard, of_shards))
+    _check_case(n, k)
+    return _canonical(n, k, shard, of_shards)
 
 
 def merge_results(results):
@@ -315,45 +253,12 @@ def merge_results(results):
     return EnumerationResult(n=n, k=k, chars=chars)
 
 
-def enumerate_sharded(n, k, of_shards, jobs=1, prefix_depth=None):
+def enumerate_sharded(n, k, of_shards, jobs=1):
     """Run every shard, optionally on a process pool, and merge."""
-    if prefix_depth is None:
-        prefix_depth = default_prefix_depth(n, k)
-    task = partial(partition_search, n, k, prefix_depth, of_shards=of_shards)
+    task = partial(partition_search, n, k, of_shards=of_shards)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(task, range(of_shards)))
     else:
         parts = [task(s) for s in range(of_shards)]
     return merge_results(parts)
-
-
-def brute_force_strings(n, k, degree_check):
-    """Filter every nowhere-zero canonical assignment through a checker.
-
-    Materializes all 2^(T-1) sign arrays with leading +1 (T tuples), so
-    only sensible for T <= 20 or so.  degree_check maps a Chirotope to a
-    truthy verdict.  Returns the surviving sign strings, sorted.
-    """
-    T = len(window_index(n, k).tuples)
-    if T > 24:
-        raise InputError(f"brute force over 2^{T - 1} assignments refused")
-    out = []
-    total = 1 << (T - 1)
-    chunk = 1 << 14
-    wi = window_index(n, k)
-    W = np.array(wi.windows, np.int64) if wi.windows else None
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        X = np.ones((len(idx), T), np.int8)
-        if T > 1:
-            bits = (idx[:, None] >> np.arange(T - 1, dtype=np.int64)[None, :]) & 1
-            X[:, 1:] = 1 - 2 * bits.astype(np.int8)
-        cand = np.ones(len(idx), bool)
-        if W is not None:
-            S = X[:, W]
-            cand = ((S[:, :, 1:] != S[:, :, :-1]).sum(2) <= 1).all(1)
-        for row in X[cand]:
-            if degree_check(Chirotope(n, k, row)):
-                out.append("".join("+" if v > 0 else "-" for v in row))
-    return sorted(out)

@@ -16,7 +16,8 @@ import pytest
 import polyom as pm
 from polyom.catalog import Catalog, format_catalog, from_enumeration
 from polyom.combinat import window_index
-from polyom.enumeration import brute_force_strings, exchange_filter_mask
+from polyom.enumeration import exchange_filter_mask
+from reference_search import brute_force_strings, search_chirotopes
 
 # criterion 1: required exact counts, up to global sign
 REQUIRED_COUNTS = {
@@ -36,7 +37,7 @@ REQUIRED_COUNTS = {
     (9, 5): 823,
 }
 
-# criterion 2: hours-scale cases, not gating
+# criterion 2: the largest cells of the count table
 LONG_COUNTS = {(8, 2): 840552, (9, 4): 500244}
 
 # criterion 4 sweep, and the cases whose full catalog is cheap enough to
@@ -98,12 +99,34 @@ def test_criterion_1_table_counts():
     print(f"criterion 1: PASS ({len(REQUIRED_COUNTS)} exact counts)", flush=True)
 
 
-@pytest.mark.slow
 def test_criterion_2_long_counts():
     big = pm.enumerate_sharded(8, 2, of_shards=8, jobs=4)
     assert big.count == LONG_COUNTS[(8, 2)]
     assert pm.enumerate_chirotopes(9, 4).count == LONG_COUNTS[(9, 4)]
     print("criterion 2: PASS (840552 and 500244 exact)", flush=True)
+
+
+def _assert_same_catalog(n, k, got):
+    ref = search_chirotopes(n, k)
+    assert got.chars.shape == ref.chars.shape, (n, k)
+    assert got.chars.tobytes() == ref.chars.tobytes(), (n, k)
+    assert got.summary() == ref.summary(), (n, k)
+    assert format_catalog(from_enumeration(got)) == format_catalog(from_enumeration(ref)), (n, k)
+
+
+def test_catalogs_match_reference_search():
+    # the extension join against the depth-first search in tests/
+    cases = sorted(REQUIRED_COUNTS) + [(n, 1) for n in range(3, 8)]
+    for (n, k) in cases:
+        _assert_same_catalog(n, k, catalog_result(n, k))
+    print(f"reference search: PASS ({len(cases)} byte-identical catalogs)", flush=True)
+
+
+@pytest.mark.slow
+def test_long_catalogs_match_reference_search():
+    for (n, k) in [(8, 1), (8, 2), (9, 4)]:
+        _assert_same_catalog(n, k, pm.enumerate_chirotopes(n, k))
+    print("reference search: PASS ((8,1), (8,2) and (9,4) byte-identical)", flush=True)
 
 
 def test_criterion_3_brute_force_equivalence():

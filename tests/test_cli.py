@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 from click.testing import CliRunner
 
@@ -244,4 +245,36 @@ def test_realize_duplicated_record_exits_two(tmp_path):
     result = invoke(["realize", "--catalog", str(cat_path), "--trials", "200"])
     assert result.exit_code == 2
     assert "strictly increasing" in result.stderr
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
+def test_enumerate_single_shard_count_is_byte_identical(tmp_path):
+    plain, sharded, one = (tmp_path / f"{name}.cat" for name in ("plain", "sharded", "one"))
+    a = invoke(["enumerate", "--n", "7", "--k", "2", "--out", str(plain)])
+    b = invoke(["enumerate", "--n", "7", "--k", "2", "--shards", "1", "--out", str(sharded)])
+    c = invoke(["enumerate", "--n", "7", "--k", "2", "--shards", "1", "--shard", "0", "--out", str(one)])
+    assert a.exit_code == b.exit_code == c.exit_code == 0
+    assert a.output == b.output == c.output == "unimodal=3843 degree_k=3843\n"
+    assert plain.read_bytes() == sharded.read_bytes() == one.read_bytes()
+
+
+def test_enumerate_prefix_depth_is_unknown():
+    result = invoke(["enumerate", "--n", "6", "--k", "2", "--prefix-depth", "3"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--prefix-depth" in result.stderr
+
+
+def _die(*args, **kwargs):
+    os._exit(3)
+
+
+def test_enumerate_worker_crash_exits_two(monkeypatch):
+    import polyom.enumeration as enumeration
+
+    # the pool's workers run the patched shard function and die at once
+    monkeypatch.setattr(enumeration, "partition_search", _die)
+    result = invoke(["enumerate", "--n", "6", "--k", "2", "--jobs", "2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
     assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1

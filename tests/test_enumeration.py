@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 import polyom as pm
-from polyom.enumeration import (
-    brute_force_strings,
-    default_prefix_depth,
-    merge_results,
-    partition_search,
-    propagate_window,
-)
+from polyom.catalog import format_catalog, from_enumeration
+from polyom.enumeration import merge_results, partition_search
+from reference_search import brute_force_strings, propagate_window
 
 # (n, k) -> number of objects up to global sign
 KNOWN_COUNTS = {
@@ -115,7 +111,7 @@ def test_shards_partition_the_output():
     full = pm.enumerate_chirotopes(6, 2)
     for of_shards in (2, 3, 5):
         parts = [
-            partition_search(6, 2, None, s, of_shards) for s in range(of_shards)
+            partition_search(6, 2, s, of_shards) for s in range(of_shards)
         ]
         seen = [row for p in parts for row in p.strings()]
         assert sorted(seen) == full.strings()
@@ -126,26 +122,36 @@ def test_shards_partition_the_output():
         assert merged.unimodal_count == full.unimodal_count
 
 
-def test_zero_prefix_depth_routes_whole_tree():
-    # with an empty prefix everything hashes to one shard
-    parts = [partition_search(6, 2, 0, s, 3) for s in range(3)]
-    counts = sorted(p.count for p in parts)
-    assert counts == [0, 0, 74]
-
-
 def test_shallow_leaves_are_not_duplicated():
-    # (5, 2) finishes above most prefix depths; full-string hashing must
-    # still place each leaf in exactly one shard
+    # (5, 2) has few contraction keys; each row still lands in exactly
+    # one of the shards
     full = pm.enumerate_chirotopes(5, 2)
-    parts = [partition_search(5, 2, 9, s, 4) for s in range(4)]
+    parts = [partition_search(5, 2, s, 4) for s in range(4)]
     seen = sorted(row for p in parts for row in p.strings())
     assert seen == full.strings()
 
 
 def test_single_shard_equals_plain_search():
     full = pm.enumerate_chirotopes(6, 3)
-    one = partition_search(6, 3, None, 0, 1)
+    one = partition_search(6, 3, 0, 1)
     assert one.strings() == full.strings()
+
+
+@pytest.mark.parametrize(
+    "n, k, of_shards",
+    # n = k+2, more shards than contraction keys, a single shard
+    [(4, 2, 3), (5, 3, 3), (6, 2, 5), (9, 5, 7), (8, 4, 1)],
+)
+def test_shards_disjoint_exact_and_merge_byte_identical(n, k, of_shards):
+    full = pm.enumerate_chirotopes(n, k)
+    parts = [partition_search(n, k, s, of_shards) for s in range(of_shards)]
+    for part in parts:
+        assert part.strings() == sorted(part.strings())
+    seen = [row for part in parts for row in part.strings()]
+    assert len(seen) == len(set(seen)) == full.count
+    assert set(seen) == set(full.strings())
+    merged = merge_results(parts)
+    assert format_catalog(from_enumeration(merged)) == format_catalog(from_enumeration(full))
 
 
 def test_enumerate_sharded_with_pool():
@@ -155,21 +161,15 @@ def test_enumerate_sharded_with_pool():
     assert res.count == full.count
 
 
-def test_default_prefix_depth_bounds():
-    assert default_prefix_depth(4, 2) == 0
-    assert 0 < default_prefix_depth(6, 2) <= 12
-    assert default_prefix_depth(9, 2) == 12
-
-
 def test_partition_validation():
     with pytest.raises(pm.InputError):
-        partition_search(6, 2, None, 2, 2)
+        partition_search(6, 2, 2, 2)
     with pytest.raises(pm.InputError):
-        partition_search(6, 2, None, -1, 2)
+        partition_search(6, 2, -1, 2)
     with pytest.raises(pm.InputError):
-        partition_search(6, 2, None, 0, 0)
+        partition_search(6, 2, 0, 0)
     with pytest.raises(pm.InputError):
-        partition_search(6, 2, -1, 0, 2)
+        partition_search(4, 3, 0, 2)
 
 
 def test_merge_validation():
