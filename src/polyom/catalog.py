@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .chirotope import ascending, char_signs, leading_signs, record_chars
 from .errors import CatalogIntegrityError, InputError
 from .points import PointConfig
 
-_RECORD_CHARS = frozenset("+-0")
+_CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporaries
 
 
 @dataclass(frozen=True)
@@ -37,15 +38,24 @@ class Catalog:
     def __post_init__(self):
         if self.k < 1 or self.n < self.k + 2:
             raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={self.n} k={self.k}")
-        width = comb(self.n, self.k + 2)
-        for rec in self.records:
-            if len(rec) != width or not set(rec) <= _RECORD_CHARS:
-                raise InputError(f"bad record for n={self.n} k={self.k}: {rec!r}")
-            if not rec.lstrip("0").startswith("+"):
+        unordered = None
+        for lo in range(0, len(self.records), _CHECK_BLOCK):
+            # one record of overlap, for the order check
+            chars = record_chars(self.records[lo : lo + _CHECK_BLOCK + 1], comb(self.n, self.k + 2))
+            signs = char_signs(chars)
+            bad = (signs > 1).any(1)
+            fault = bad | (leading_signs(signs) != 1)
+            if fault.any():
+                rec = self.records[lo + fault.argmax()]
+                if bad[fault.argmax()]:
+                    raise InputError(f"bad record for n={self.n} k={self.k}: {rec!r}")
                 raise InputError(f"record not canonical (first nonzero sign must be +): {rec!r}")
-        for prev, rec in zip(self.records, self.records[1:]):
-            if prev >= rec:
-                raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
+            up = ascending(chars)
+            if unordered is None and not up.all():
+                unordered = lo + up.argmin()
+        if unordered is not None:
+            prev, rec = self.records[unordered : unordered + 2]
+            raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
         if self.witnesses is not None and len(self.witnesses) != len(self.records):
             raise InputError("witness list does not match record count")
 
@@ -74,9 +84,7 @@ def from_enumeration(result):
     return Catalog(result.n, result.k, tuple(result.strings()))
 
 
-def _record_line(record, witness, tagged):
-    if not tagged:
-        return record
+def _tagged_line(record, witness):
     if witness is None:
         return f"{record} U"
     flat = " ".join(f"{x} {y}" for x, y in witness.points)
@@ -84,10 +92,9 @@ def _record_line(record, witness, tagged):
 
 
 def format_catalog(catalog):
-    lines = [
-        _record_line(rec, catalog.witnesses[i] if catalog.tagged else None, catalog.tagged)
-        for i, rec in enumerate(catalog.records)
-    ]
+    lines = list(catalog.records)
+    if catalog.tagged:
+        lines = list(map(_tagged_line, lines, catalog.witnesses))
     body = "\n".join(lines + [""])
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     head = f"n={catalog.n} k={catalog.k} count={len(catalog.records)} sha256={digest}\n"

@@ -1,4 +1,7 @@
-"""Alternating sign maps on (k+2)-tuples and their cocircuit vectors."""
+"""Alternating sign maps on (k+2)-tuples, their cocircuit vectors, and the
+record codec: '+', '-', '0' over the lex tuples, first nonzero sign '+',
+records sorted as byte strings.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +12,10 @@ import numpy as np
 from .combinat import lex_rank, sort_with_sign, tuple_index, window_index
 from .errors import InputError
 
-_SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
-_CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
+# int8 signs 0, +1, -1 as bytes, their characters; others decode to 2
+_SIGN_BYTES, _ALPHABET = b"\x00\x01\xff", b"0+-"
+_TO_CHAR = bytes.maketrans(_SIGN_BYTES, _ALPHABET)
+_TO_SIGN = bytes(_SIGN_BYTES[_ALPHABET.index(c)] if c in _ALPHABET else 2 for c in range(256))
 
 
 class Chirotope:
@@ -74,7 +79,7 @@ class Chirotope:
         return parity * int(self.signs[lex_rank(srt, self.n)])
 
     def sign_string(self):
-        return "".join(_SIGN_CHARS[int(v)] for v in self.signs)
+        return bytearray(self.signs).translate(_TO_CHAR).decode("ascii")
 
     def is_uniform(self):
         """True when no sign vanishes."""
@@ -85,12 +90,10 @@ class Chirotope:
 
     def canonicalize(self):
         """The representative of {chi, -chi} whose first nonzero sign is +1."""
-        for v in self.signs:
-            if v > 0:
-                return self
-            if v < 0:
-                return self.negated()
-        raise InputError("cannot canonicalize the zero map")
+        lead = leading_signs(self.signs[None])[0]
+        if lead == 0:
+            raise InputError("cannot canonicalize the zero map")
+        return self if lead > 0 else self.negated()
 
     def reorient(self, subset):
         """Reorientation by A: each tuple sign flips by the parity of
@@ -131,27 +134,59 @@ def from_text(text):
     lines = [ln for ln in text.split("\n") if ln.strip() != ""]
     if len(lines) != 2:
         raise InputError("expected a header line and one sign line")
-    head = lines[0].split()
     try:
-        fields = dict(part.split("=", 1) for part in head)
+        fields = dict(part.split("=", 1) for part in lines[0].split())
         n = int(fields["n"])
         k = int(fields["k"])
     except (ValueError, KeyError) as exc:
         raise InputError(f"malformed header {lines[0]!r}") from exc
-    body = lines[1].strip()
-    try:
-        signs = [_CHAR_SIGNS[c] for c in body]
-    except KeyError as exc:
-        raise InputError(f"invalid sign character in {body!r}") from exc
-    return Chirotope(n, k, signs)
+    return Chirotope(n, k, signs_from_string(lines[1].strip()))
+
+
+def sign_chars(signs):
+    """Record characters (uint8) of an int8 sign array of any shape."""
+    return np.frombuffer(bytearray(signs).translate(_TO_CHAR), np.uint8).reshape(signs.shape)
+
+
+def char_signs(chars):
+    """Signs (int8) of record characters (uint8), any shape; a non-sign reads as 2."""
+    return np.frombuffer(bytearray(chars).translate(_TO_SIGN), np.int8).reshape(chars.shape)
 
 
 def signs_from_string(s):
     """'+-0' characters to an int8 array."""
-    try:
-        return np.array([_CHAR_SIGNS[c] for c in s], np.int8)
-    except KeyError as exc:
-        raise InputError(f"invalid sign character in {s!r}") from exc
+    signs = char_signs(np.frombuffer(s.encode("ascii", "replace"), np.uint8))
+    if (signs > 1).any():
+        raise InputError(f"invalid sign character in {s!r}")
+    return signs
+
+
+def leading_signs(signs):
+    """The first nonzero entry of each row of a sign matrix, 0 for a zero row."""
+    return signs[np.arange(len(signs)), (signs != 0).argmax(1)]
+
+
+def record_chars(records, width):
+    """Records as an (m, width) uint8 matrix; wrong widths read as non-signs."""
+    data = "".join(r if len(r) == width else "?" * width for r in records)
+    return np.frombuffer(data.encode("ascii", "replace"), np.uint8).reshape(len(records), width)
+
+
+def records_of(chars):
+    """The rows of a record character matrix as strings."""
+    text, width = chars.tobytes().decode("ascii"), chars.shape[1]
+    return [text[i : i + width] for i in range(0, len(text), width)]
+
+
+def record_order(chars):
+    """The permutation that sorts the rows of a character matrix as byte strings."""
+    return np.argsort(chars.view(f"V{chars.shape[1]}").ravel(), kind="stable")
+
+
+def ascending(chars):
+    """For each row after the first: does it sort strictly after the row before?"""
+    at = (chars[:-1] != chars[1:]).argmax(1)[:, None]
+    return (np.take_along_axis(chars[1:], at, 1) > np.take_along_axis(chars[:-1], at, 1))[:, 0]
 
 
 def cocircuit_vectors(chi):
@@ -172,7 +207,4 @@ def cocircuit_vectors(chi):
 
 def window_signs(chi):
     """Matrix of subtuple signs per (k+3)-window, shape (W, k+3)."""
-    wi = window_index(chi.n, chi.k)
-    if not wi.windows:
-        return np.zeros((0, chi.k + 3), np.int8)
-    return chi.signs[np.array(wi.windows, np.int64)]
+    return chi.signs[np.array(window_index(chi.n, chi.k).windows, np.intp).reshape(-1, chi.k + 3)]

@@ -29,7 +29,7 @@ def _guarded(fn):
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InputError, BrokenProcessPool) as exc:
+        except (InputError, UnicodeDecodeError, BrokenProcessPool) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (SoundnessError, DegenerateConfigError) as exc:

@@ -90,7 +90,7 @@ class WindowIndex:
 
     windows[w] lists the k+3 subtuple ranks of the w-th (k+3)-subset in
     lex order of the subtuples, which is deletion of the largest element
-    first.  var_windows[v] lists the windows touching variable v.
+    first.
     """
 
     n: int
@@ -98,7 +98,6 @@ class WindowIndex:
     tuples: tuple
     windows: tuple
     window_tuples: tuple
-    var_windows: tuple
 
 
 @lru_cache(maxsize=None)
@@ -109,18 +108,7 @@ def window_index(n, k):
     W = np.array(window_tuples, np.intp).reshape(-1, r + 1)
     subs = W[:, [[i for i in range(r + 1) if i != r - j] for j in range(r + 1)]]
     windows = tuple(map(tuple, _lex_ranks(subs, n).tolist()))
-    var_windows = [[] for _ in tuples]
-    for w, win in enumerate(windows):
-        for v in win:
-            var_windows[v].append(w)
-    return WindowIndex(
-        n=n,
-        k=k,
-        tuples=tuples,
-        windows=windows,
-        window_tuples=window_tuples,
-        var_windows=tuple(tuple(ws) for ws in var_windows),
-    )
+    return WindowIndex(n=n, k=k, tuples=tuples, windows=windows, window_tuples=window_tuples)
 
 
 @dataclass(frozen=True)

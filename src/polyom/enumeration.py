@@ -46,28 +46,18 @@ from functools import partial
 
 import numpy as np
 
-from .chirotope import Chirotope
+from .chirotope import Chirotope, char_signs, record_order, records_of, sign_chars
 from .combinat import exchange_table, tuple_index, window_index
 from .errors import InputError
 
-_PLUS = ord("+")
-_MINUS = ord("-")
 # elements (keys x P rows x words) per temporary of the key match
 _MATCH_CHUNK = 1 << 20
-
-
-def _chars_to_signs(chars):
-    """'+'/'-'/'0' codes to -1/0/+1 int8."""
-    out = np.zeros(chars.shape, np.int8)
-    out[chars == _PLUS] = 1
-    out[chars == _MINUS] = -1
-    return out
 
 
 def exchange_filter_mask(chars, n, k):
     """Which rows of a nowhere-zero sign matrix pass the exchange test.
 
-    Rows are '+'/'-' char codes over the lex tuple order.  Uses the
+    Rows are record characters over the lex tuple order.  Uses the
     pruned pair table: pairs whose pivot lies in mu hold automatically
     for nowhere-zero maps.
     """
@@ -79,17 +69,17 @@ def exchange_filter_mask(chars, n, k):
     chunk = max(16, int(24_000_000 / max(per_row, 1)))
     mask = np.empty(m, bool)
     for lo in range(0, m, chunk):
-        X = _chars_to_signs(chars[lo : lo + chunk])
+        X = char_signs(chars[lo : lo + chunk])
         P = tab.coeff[None, :, :] * X[:, tab.left] * X[:, tab.right]
         mask[lo : lo + chunk] = ((P == 1).any(2) & (P == -1).any(2)).all(1)
     return mask
 
 
-def _pack(bits, bitorder="little"):
+def _pack(bits):
     """Boolean rows as bytes, zero-padded to whole 64-bit words."""
     m, c = bits.shape
     out = np.zeros((m, 8 * max(1, -(-c // 64))), np.uint8)
-    out[:, : -(-c // 8)] = np.packbits(bits, axis=1, bitorder=bitorder)
+    out[:, : -(-c // 8)] = np.packbits(bits, axis=1, bitorder="little")
     return out
 
 
@@ -155,7 +145,7 @@ def _signotopes(n, r, memo):
 
 
 def _canonical(n, k, shard=0, of_shards=1):
-    """One shard of the canonical catalog, sorted, as '+'/'-' rows."""
+    """One shard of the canonical catalog, sorted, as record characters."""
     r = k + 2
     memo = {}
     P, Q = _signotopes(n - 1, r, memo), _signotopes(n - 1, r - 1, memo)
@@ -165,21 +155,15 @@ def _canonical(n, k, shard=0, of_shards=1):
     else:
         Q = Q[Q[:, 0]]
     del memo  # frees the lower levels before the top join
-    plus = _extend(P, Q, n, r, shard, of_shards)
-    # '+' sorts before '-', and rows are distinct: lex order of the
-    # strings is descending order of the plus bits, first column highest
-    order = np.lexsort(_pack(plus, "big").view(">u8").T[::-1])[::-1]
-    chars = plus[order].view(np.uint8)
-    chars <<= 1
-    np.subtract(_MINUS, chars, out=chars)  # '+' is '-' - 2
+    chars = sign_chars(2 * _extend(P, Q, n, r, shard, of_shards).view(np.int8) - 1)
+    chars = chars[record_order(chars)]
     chars.setflags(write=False)
     return EnumerationResult(n=n, k=k, chars=chars)
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Enumeration output: one '+'/'-' row per object in chars, rows in
-    lex order of the sign strings."""
+    """Enumeration output: chars holds one record per object, in record order."""
 
     n: int
     k: int
@@ -196,10 +180,10 @@ class EnumerationResult:
         return self.count
 
     def strings(self):
-        return [row.tobytes().decode("ascii") for row in self.chars]
+        return records_of(self.chars)
 
     def sign_rows(self):
-        return _chars_to_signs(self.chars)
+        return char_signs(self.chars)
 
     def chirotopes(self):
         for row in self.sign_rows():
@@ -246,9 +230,7 @@ def merge_results(results):
         if (res.n, res.k) != (n, k):
             raise InputError("cannot merge results for different (n, k)")
     chars = np.vstack([res.chars for res in results])
-    if len(chars):
-        order = np.argsort(chars.view(f"V{chars.shape[1]}").ravel(), kind="stable")
-        chars = chars[order]
+    chars = chars[record_order(chars)]
     chars.setflags(write=False)
     return EnumerationResult(n=n, k=k, chars=chars)
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .catalog import Catalog
+from .chirotope import leading_signs, records_of, sign_chars
 from .errors import InputError, SoundnessError
 from .points import PointConfig, check_draw, chirotope_of, draw_uniform
 
@@ -22,9 +20,6 @@ DEFAULT_RANGES = (8, 32, 128, 1024, 32768, 10**6)
 
 # Trials drawn and signed together; bounds the memory of a search.
 TRIAL_BLOCK = 1024
-
-# Canonical sign + 1 -> record character.
-_SIGN_BYTES = np.frombuffer(b"-0+", np.uint8)
 
 # Reference counts of realizable objects for small cases; the (8, 2)
 # entry is a (lower, upper) bound pair, the classification there being
@@ -94,15 +89,11 @@ def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
         X, Y, signs, uniform = draw_uniform(
             rngs, [used[t % len(ranges)] for t in block], n, k, max_tries
         )
-        # Canonical records, row after row: uniform maps start with a
-        # nonzero sign.
-        recs = _SIGN_BYTES[signs * signs[:, :1] + 1].tobytes().decode("ascii")
-        width = signs.shape[1]
-        for i, (t, ok) in enumerate(zip(block, uniform.tolist())):
+        recs = records_of(sign_chars(signs * leading_signs(signs)[:, None]))
+        for i, (t, ok, rec) in enumerate(zip(block, uniform.tolist(), recs)):
             if not ok:
                 degenerate += 1
                 continue
-            rec = recs[i * width : (i + 1) * width]
             pos = index.get(rec)
             if pos is None:
                 config = PointConfig(zip(X[i].tolist(), Y[i].tolist()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combinat import lex_rank
 from .errors import InputError
 from .points import chirotope_of, newton_coeffs, newton_eval
 
@@ -88,17 +89,12 @@ def render_svg(
         )
 
     if annotate and n >= k + 2:
-        chi = chirotope_of(config, k)
-        lines = []
-        for j in range(n - k - 1):
-            t = tuple(range(j + 1, j + k + 3))
-            v = chi.value(t)
-            mark = "+" if v > 0 else "-" if v < 0 else "0"
-            lines.append(f"chi({','.join(map(str, t))})={mark}")
-        for row, line in enumerate(lines):
+        record = chirotope_of(config, k).sign_string()
+        for row in range(n - k - 1):
+            t = range(row + 1, row + k + 3)
             out.append(
-                f'<text x="8" y="{16 + 14 * row}" font-size="11" '
-                f'font-family="monospace">{line}</text>'
+                f'<text x="8" y="{16 + 14 * row}" font-size="11" font-family="monospace">'
+                f'chi({",".join(map(str, t))})={record[lex_rank(t, n)]}</text>'
             )
 
     out.append("</svg>")

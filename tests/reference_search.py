@@ -23,11 +23,12 @@ _PLUS = ord("+")
 _MINUS = ord("-")
 
 
-def _propagate(queue, x, xb, trail, windows, var_windows):
+def _propagate(queue, x, xb, trail, windows, touching):
     """Arc-consistency from the variables in queue (0 = undecided).
 
-    x holds the signs and xb their '+'/'-' codes.  Every window touching
-    a queued variable must keep a completion with at most one sign
+    x holds the signs and xb their '+'/'-' codes; touching[v] lists the
+    windows that include variable v.  Every window touching a queued
+    variable must keep a completion with at most one sign
     change: with both signs present, undecided cells before the last
     leading-sign cell take the leading sign and cells after the first
     opposite cell take the opposite; with one sign present, cells
@@ -38,7 +39,7 @@ def _propagate(queue, x, xb, trail, windows, var_windows):
     while head < len(queue):
         v = queue[head]
         head += 1
-        for w in var_windows[v]:
+        for w in touching[v]:
             win = windows[w]
             s = 0
             p_first = p_last = q_first = -1
@@ -96,6 +97,16 @@ def propagate_window(values):
     return vals if ok else None
 
 
+def var_windows(n, k):
+    """For each tuple rank v, the windows (by index) whose subtuples include v."""
+    wi = window_index(n, k)
+    out = [[] for _ in wi.tuples]
+    for w, win in enumerate(wi.windows):
+        for v in win:
+            out[v].append(w)
+    return tuple(map(tuple, out))
+
+
 def _search_leaves(n, k):
     """Depth-first search over unimodal-consistent assignments.
 
@@ -104,7 +115,7 @@ def _search_leaves(n, k):
     """
     wi = window_index(n, k)
     windows = wi.windows
-    var_windows = wi.var_windows
+    touching = var_windows(n, k)
     T = len(wi.tuples)
 
     x = [0] * T
@@ -123,7 +134,7 @@ def _search_leaves(n, k):
     x[0] = 1
     xb[0] = _PLUS
     trail.append(0)
-    if not _propagate([0], x, xb, trail, windows, var_windows):
+    if not _propagate([0], x, xb, trail, windows, touching):
         return buf
 
     v0 = next_var(1)
@@ -145,7 +156,7 @@ def _search_leaves(n, k):
         x[var] = sign
         xb[var] = _PLUS if sign > 0 else _MINUS
         trail.append(var)
-        if not _propagate([var], x, xb, trail, windows, var_windows):
+        if not _propagate([var], x, xb, trail, windows, touching):
             continue
         nv = next_var(var + 1)
         if nv < 0:

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,9 +9,10 @@ from polyom.catalog import Catalog, format_catalog, from_enumeration, parse_cata
 
 
 def rehash(n, k, body_lines):
-    """Valid header for handcrafted record lines."""
+    """Valid header for handcrafted record lines; a non-ASCII character
+    counts as '?', as it does when the catalog is read."""
     body = "".join(line + "\n" for line in body_lines)
-    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
     return f"n={n} k={k} count={len(body_lines)} sha256={digest}\n" + body
 
 
@@ -161,3 +163,72 @@ def test_bad_witness_reports_catalog_line():
         with pytest.raises(pm.InputError, match="^line 4: bad witness") as info:
             parse_catalog(rehash(5, 2, lines))
         assert reason in str(info.value)
+
+
+def test_first_bad_record_is_reported():
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    # record 1 is not canonical, record 3 has a bad character and record 4
+    # a bad width, and records 2 and 5 are out of order
+    mixed = (recs[0], "-++++", recs[3], "++x++", "+++", recs[1])
+    with pytest.raises(pm.InputError) as info:
+        Catalog(5, 2, mixed)
+    assert str(info.value) == "record not canonical (first nonzero sign must be +): '-++++'"
+    # with record 1 mended, the first fault is the bad character
+    with pytest.raises(pm.InputError) as info:
+        Catalog(5, 2, (recs[0], recs[4]) + mixed[2:])
+    assert str(info.value) == "bad record for n=5 k=2: '++x++'"
+    # the width fault comes first when it comes first
+    with pytest.raises(pm.InputError) as info:
+        Catalog(5, 2, (recs[0], "+++", "-++++"))
+    assert str(info.value) == "bad record for n=5 k=2: '+++'"
+    # order is checked only once every record is well formed
+    with pytest.raises(pm.InputError) as info:
+        Catalog(5, 2, (recs[2], recs[1], recs[4], recs[3]))
+    assert str(info.value) == f"records not strictly increasing: {recs[1]!r} after {recs[2]!r}"
+
+
+def test_non_ascii_records_are_input_errors():
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    for bad in ("+++é+", "++−++", "+\ud800+++", "é"):
+        with pytest.raises(pm.InputError, match="^bad record for n=5 k=2: "):
+            Catalog(5, 2, (recs[0], bad))
+        with pytest.raises(pm.InputError, match="^bad record for n=5 k=2: "):
+            parse_catalog(rehash(5, 2, [recs[0], bad]))
+
+
+def test_record_checks_across_blocks(monkeypatch):
+    import polyom.catalog as catalog_module
+
+    recs = pm.enumerate_chirotopes(6, 2).strings()
+    cases = [
+        tuple(recs[:9]),
+        (recs[0], recs[1], recs[3], recs[2], recs[4], "-" + recs[5][1:], recs[6]),
+        (recs[0], recs[1], recs[3], recs[2], recs[4], recs[5][:-1], recs[6]),
+        (recs[0], recs[2], recs[1]),
+        tuple(recs[:4]) + (recs[3],),
+        (recs[0], recs[1], recs[2], recs[4], recs[3]),
+        (recs[1], recs[0], recs[2], recs[4], recs[3]),
+    ]
+    for block in (1, 2, 3, 4, 1 << 16):
+        monkeypatch.setattr(catalog_module, "_CHECK_BLOCK", block)
+        for records in cases:
+            try:
+                Catalog(6, 2, records)
+                got = None
+            except pm.InputError as exc:
+                got = str(exc)
+            assert got == looped_fault(records, 6, 2), (block, records)
+
+
+def looped_fault(records, n, k):
+    """The record checks one record at a time, in the order they are reported."""
+    width = comb(n, k + 2)
+    for rec in records:
+        if len(rec) != width or not set(rec) <= set("+-0"):
+            return f"bad record for n={n} k={k}: {rec!r}"
+        if not rec.lstrip("0").startswith("+"):
+            return f"record not canonical (first nonzero sign must be +): {rec!r}"
+    for prev, rec in zip(records, records[1:]):
+        if prev >= rec:
+            return f"records not strictly increasing: {rec!r} after {prev!r}"
+    return None

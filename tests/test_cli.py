@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 import polyom as pm
@@ -278,3 +279,18 @@ def test_enumerate_worker_crash_exits_two(monkeypatch):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "chi.txt"], ["check", "chi.txt", "--json"],
+     ["chirotope", "pts.txt", "--k", "2"], ["render", "pts.txt", "--k", "2"]],
+)
+def test_non_utf8_input_exits_two(tmp_path, args):
+    (tmp_path / "chi.txt").write_bytes(b"n=4 k=2\n\xe9\n")
+    (tmp_path / "pts.txt").write_bytes(b"0 0\n1 1\n2 \xe9\n3 27\n")
+    result = invoke([args[0], str(tmp_path / args[1])] + args[2:])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "0xe9" in result.stderr

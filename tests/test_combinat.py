@@ -15,6 +15,7 @@ from polyom.combinat import (
     window_index,
 )
 from polyom.errors import InputError
+from reference_search import var_windows
 
 
 def test_lex_rank_examples():
@@ -78,9 +79,13 @@ def test_window_subtuples_delete_largest_first():
 
 def test_var_windows_consistency():
     wi = window_index(7, 3)
-    for v, ws in enumerate(wi.var_windows):
+    touching = var_windows(7, 3)
+    assert len(touching) == len(wi.tuples)
+    for v, ws in enumerate(touching):
         for w in ws:
             assert v in wi.windows[w]
+    for w, win in enumerate(wi.windows):
+        assert all(w in touching[v] for v in win)
     # every window touches exactly k+3 variables
     for win in wi.windows:
         assert len(set(win)) == 6

@@ -1,0 +1,238 @@
+"""Property tests: the sign-record codec and the text parsers.
+
+Every example set is derandomized, so a run is as repeatable as the
+rest of the suite.
+"""
+
+import hashlib
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polyom as pm
+from polyom.catalog import Catalog, parse_catalog
+import polyom.catalog as catalog_module
+from polyom.chirotope import (
+    ascending,
+    char_signs,
+    leading_signs,
+    record_chars,
+    record_order,
+    records_of,
+    sign_chars,
+)
+from test_catalog import looped_fault
+
+PROPS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+# text near the formats: sign characters, header and coordinate tokens,
+# whitespace of several kinds and a few non-ASCII characters
+NEAR = "+-0 \t\n\r\x0b\x1c  =nkcountsha256RU/1234567890xé∞"
+TEXT = st.one_of(st.text(), st.text(alphabet=NEAR))
+
+
+def sign_matrices(max_rows=12, max_width=20):
+    def fill(shape):
+        size = shape[0] * shape[1]
+        return st.binary(min_size=size, max_size=size).map(
+            lambda b: (np.frombuffer(b, np.uint8) % 3).astype(np.int8).reshape(shape) - 1
+        )
+
+    return st.tuples(st.integers(0, max_rows), st.integers(1, max_width)).flatmap(fill)
+
+
+def python_record(row):
+    return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in row)
+
+
+# ----------------------------------------------------------------- codec
+
+
+@PROPS
+@given(sign_matrices())
+def test_codec_round_trips_signs(signs):
+    chars = sign_chars(signs)
+    assert chars.dtype == np.uint8 and chars.shape == signs.shape
+    assert (char_signs(chars) == signs).all()
+    assert records_of(chars) == [python_record(row) for row in signs]
+
+
+@PROPS
+@given(sign_matrices())
+def test_canonical_sign_is_first_nonzero(signs):
+    lead = leading_signs(signs)
+    for row, s in zip(signs.tolist(), lead.tolist()):
+        assert s == next((v for v in row if v), 0)
+    canon = signs * lead[:, None]
+    assert ((leading_signs(canon) == 1) | ~signs.any(1)).all()
+
+
+@PROPS
+@given(sign_matrices())
+def test_record_order_is_string_order(signs):
+    chars = sign_chars(signs)
+    strings = records_of(chars)
+    assert records_of(chars[record_order(chars)]) == sorted(strings)
+    assert ascending(chars).tolist() == [a < b for a, b in zip(strings, strings[1:])]
+
+
+@PROPS
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 2, k + 5))),
+       st.data())
+def test_chirotope_sign_string_round_trips(kn, data):
+    k, n = kn
+    signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)),
+                               min_size=comb(n, k + 2), max_size=comb(n, k + 2)))
+    chi = pm.Chirotope(n, k, signs)
+    text = chi.sign_string()
+    assert text == python_record(signs)
+    assert pm.signs_from_string(text).tolist() == signs
+    assert pm.from_text(pm.to_text(chi)) == chi
+    if any(signs):
+        canon = chi.canonicalize().sign_string()
+        assert canon.lstrip("0")[0] == "+"
+        assert canon in (text, python_record([-v for v in signs]))
+
+
+@PROPS
+@given(st.lists(TEXT.map(lambda t: t[:8]), max_size=6), st.integers(1, 8))
+def test_record_chars_marks_bad_rows(records, width):
+    chars = record_chars(records, width)
+    assert chars.shape == (len(records), width)
+    ok = (char_signs(chars) <= 1).all(1)
+    for rec, row_ok in zip(records, ok.tolist()):
+        assert row_ok == (len(rec) == width and set(rec) <= set("+-0"))
+
+
+# --------------------------------------------------------- parsers: valid or InputError
+
+
+def valid_or_input_error(parse, text):
+    try:
+        return parse(text)
+    except pm.InputError:
+        return None
+
+
+@PROPS
+@given(st.one_of(TEXT, st.text(alphabet="+-0")))
+def test_signs_from_string_total(text):
+    signs = valid_or_input_error(pm.signs_from_string, text)
+    if signs is not None:
+        assert signs.dtype == np.int8 and len(signs) == len(text)
+        assert sign_chars(signs).tobytes().decode("ascii") == text
+
+
+def chirotope_texts():
+    def with_width(nk):
+        n, k = nk
+        width = comb(n, k + 2) if 1 <= k and k + 2 <= n else 3
+        signs = st.text(alphabet="+-0", min_size=width, max_size=width)
+        return st.builds(f"n={n} k={k}\n{{}}\n".format, st.one_of(signs, signs, TEXT))
+
+    some_nk = st.tuples(st.integers(-1, 8), st.integers(-1, 6))
+    valid_nk = st.integers(1, 5).flatmap(lambda k: st.tuples(st.integers(k + 2, 8), st.just(k)))
+    return st.one_of(TEXT, some_nk.flatmap(with_width), valid_nk.flatmap(with_width))
+
+
+@PROPS
+@given(chirotope_texts())
+def test_from_text_total(text):
+    chi = valid_or_input_error(pm.from_text, text)
+    if chi is not None:
+        assert isinstance(chi, pm.Chirotope)
+        assert len(chi.signs) == comb(chi.n, chi.k + 2)
+        assert set(chi.signs.tolist()) <= {-1, 0, 1}
+
+
+def point_texts():
+    good = st.one_of(st.integers(-99, 99).map(str), st.fractions(max_denominator=9).map(str))
+    coord = st.one_of(good, st.sampled_from(["1/0", "x", "é", "0.5", "1 2"]))
+    comment = st.builds("  # {}".format, TEXT.map(lambda t: t.replace("\n", " ")))
+    return st.one_of(
+        TEXT,
+        st.lists(st.one_of(st.builds("{} {}".format, coord, coord), TEXT), max_size=6).map("\n".join),
+        st.lists(st.one_of(st.builds("{}\t{}".format, good, good), comment), max_size=6).map("\n".join),
+    )
+
+
+@PROPS
+@given(point_texts())
+def test_parse_points_total(text):
+    config = valid_or_input_error(pm.parse_points, text)
+    if config is not None:
+        assert isinstance(config, pm.PointConfig) and len(config) >= 1
+        xs = [x for x, _ in config.points]
+        assert xs == sorted(set(xs))
+
+
+def headed(n, k, lines):
+    """A catalog text whose header matches its body, so the records are read."""
+    body = "".join(line + "\n" for line in lines)
+    digest = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
+    return f"n={n} k={k} count={len(lines)} sha256={digest}\n" + body
+
+
+# strictly increasing canonical records for (5, 2)
+RECORDS_5_2 = st.sets(
+    st.text(alphabet="+-0", min_size=5, max_size=5).filter(lambda r: r.lstrip("0")[:1] == "+"),
+    max_size=6,
+).map(sorted)
+
+
+def catalog_texts():
+    line = st.one_of(
+        st.text(alphabet="+-0", min_size=4, max_size=6),
+        st.builds("{} U".format, st.text(alphabet="+-0", min_size=5, max_size=5)),
+        st.builds("{} R 0 0 1 1 2 8 3 27 4 64".format, st.text(alphabet="+-0", min_size=5, max_size=5)),
+        TEXT.filter(lambda t: "\n" not in t),
+    )
+    tagged = st.lists(st.sampled_from([" U", " R 0 0 1 1 2 8 3 27 4 64", " R 0 0 1 1"]))
+    return st.one_of(
+        TEXT,
+        st.builds(headed, st.integers(3, 6), st.integers(0, 3), st.lists(line, max_size=5)),
+        st.builds(headed, st.just(5), st.just(2), RECORDS_5_2),
+        st.builds(
+            lambda recs, tags: headed(5, 2, [r + t for r, t in zip(recs, tags + [" U"] * len(recs))]),
+            RECORDS_5_2,
+            tagged,
+        ),
+    )
+
+
+@PROPS
+@given(catalog_texts())
+def test_parse_catalog_total(text):
+    cat = valid_or_input_error(parse_catalog, text)
+    if cat is not None:
+        assert isinstance(cat, Catalog)
+        assert all(isinstance(rec, str) for rec in cat.records)
+        assert list(cat.records) == sorted(set(cat.records))
+
+
+# ------------------------------------------------------ catalog record checks
+
+
+@PROPS
+@given(st.one_of(
+    RECORDS_5_2,
+    st.lists(st.one_of(st.text(alphabet="+-0", min_size=5, max_size=5),
+                       st.text(alphabet="+-0xé", max_size=6)), max_size=8),
+))
+def test_catalog_reports_the_first_fault(records):
+    want = looped_fault(records, 5, 2)
+    default = catalog_module._CHECK_BLOCK
+    try:
+        for block in (1, 3, default):
+            catalog_module._CHECK_BLOCK = block
+            if want is None:
+                assert Catalog(5, 2, tuple(records)).records == tuple(records)
+            else:
+                with pytest.raises(pm.InputError) as info:
+                    Catalog(5, 2, tuple(records))
+                assert str(info.value) == want
+    finally:
+        catalog_module._CHECK_BLOCK = default
