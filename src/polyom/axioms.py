@@ -101,49 +101,22 @@ def check_B3(chi):
     )
 
 
-def _zero_pattern_ok(seq, length):
-    """One window in the non-uniform case: s^a 0^b (-s)^c with b in {0, 1, all}."""
-    zeros = [i for i, v in enumerate(seq) if v == 0]
-    b = len(zeros)
-    if b == length:
-        return True
-    if b > 1:
-        return False
-    if b == 1:
-        z = zeros[0]
-        head = seq[:z]
-        tail = seq[z + 1:]
-        if head and any(v != head[0] for v in head):
-            return False
-        if tail and any(v != tail[0] for v in tail):
-            return False
-        if head and tail and head[0] != -tail[0]:
-            return False
-        return True
-    changes = sum(1 for a, c in zip(seq, seq[1:]) if a != c)
-    return changes <= 1
-
-
 def check_unimodal(chi):
     """Deletion signs of every (k+3)-window change at most once.
 
     The window sequence lists the (k+2)-subtuples in lex order (largest
-    element deleted first).  Uniform maps need at most one sign change;
-    with zeros, the only admissible shapes are s..s 0 -s..-s, a single
-    run with one zero at either end, or an all-zero window.
+    element deleted first).  The admissible shapes are s^a 0^b (-s)^c
+    with b in {0, 1, all}: exactly the monotone sequences with at most
+    one zero, plus the all-zero window.  Without zeros that is at most
+    one sign change.
     """
     S = window_signs(chi)
     if S.shape[0] == 0:
         return _PASS
-    if chi.is_uniform():
-        changes = (S[:, 1:] != S[:, :-1]).sum(1)
-        ok = changes <= 1
-    else:
-        ok = np.fromiter(
-            (_zero_pattern_ok([int(v) for v in row], S.shape[1]) for row in S),
-            dtype=bool,
-            count=S.shape[0],
-        )
+    steps = np.diff(S, axis=1)
+    zeros = (S == 0).sum(1)
+    monotone = (steps <= 0).all(1) | (steps >= 0).all(1)
+    ok = (zeros == S.shape[1]) | ((zeros <= 1) & monotone)
     if ok.all():
         return _PASS
     w = int(np.argmax(~ok))
@@ -195,12 +168,41 @@ def check_degree_k(chi):
 
 
 def _as_matrix(vectors):
-    M = np.asarray(vectors, np.int8)
-    if M.size == 0:
+    try:
+        M = np.asarray(vectors)
+    except ValueError:
+        raise InputError("expected a list of equal-length sign vectors") from None
+    if M.size == 0 and M.ndim == 1:
         M = M.reshape(0, 0)
     if M.ndim != 2:
         raise InputError("expected a list of equal-length sign vectors")
-    return M
+    if M.dtype.kind not in "biufO" or not ((M == -1) | (M == 0) | (M == 1)).all():
+        raise InputError("signs must be -1, 0 or +1")
+    return M.astype(np.int8, copy=False)
+
+
+# Bits per packed word: column c is bit c % 63 of word c // 63, so every
+# word is a nonnegative int64 and a packed set is exact at any width.
+_WORD = 63
+_BITS = np.int64(1) << np.arange(_WORD, dtype=np.int64)
+
+
+def _pack(B):
+    """An (m, n) boolean matrix as (m, ceil(n / 63)) int64 words."""
+    m, n = B.shape
+    words = -(-n // _WORD)
+    padded = np.zeros((m, words * _WORD), np.int64)
+    padded[:, :n] = B
+    return padded.reshape(m, words, _WORD) @ _BITS
+
+
+def _row_keys(words):
+    """One sortable key per row of packed words, equal exactly when the
+    rows are: the word itself, or the row's bytes beyond one word."""
+    w = words.shape[1]
+    if w == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * w)))[:, 0]
 
 
 def _c3_uniform_batch(M):
@@ -208,15 +210,14 @@ def _c3_uniform_batch(M):
 
     Runs on the first occurrence of each distinct row.  Once C2 has
     passed, distinct rows sharing a zero set are a single X, -X pair,
-    so at most two candidates per zero set need a look.  Witnesses index
-    rows of the input.
+    so at most two candidates per zero set need a look; zero sets are
+    looked up by their packed words.  Witnesses index rows of the input.
     """
     _, first = np.unique(M, axis=0, return_index=True)
     keep = np.sort(first)
     M = M[keep]
     m, n = M.shape
     zb = M == 0
-    zmask = zb.astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
     zint = zb.astype(np.int32)
     q = (zint @ (1 - zint).T) == 1
     prod = M[:, None, :] * M[None, :, :]
@@ -224,9 +225,11 @@ def _c3_uniform_batch(M):
     if len(trips) == 0:
         return _PASS
     I, J, E = trips[:, 0], trips[:, 1], trips[:, 2]
-    want = (zmask[I] & zmask[J]) | (np.int64(1) << E)
-    order = np.argsort(zmask, kind="stable")
-    zs = zmask[order]
+    Z = _pack(zb)
+    unit = _pack(np.eye(n, dtype=bool))
+    zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | unit[E])
+    order = np.argsort(zkeys, kind="stable")
+    zs = zkeys[order]
     pos = np.searchsorted(zs, want, side="left")
     agree = (M[I] == M[J]) & (M[I] != 0)
 
@@ -247,7 +250,7 @@ def _c3_uniform_batch(M):
     )
 
 
-def _c3_general(M):
+def _c3_general(M, neq):
     """Weak elimination over all pairs, pairs X = -Y exempt.
 
     Where X and Y disagree, some vector of the set must vanish there
@@ -255,31 +258,34 @@ def _c3_general(M):
     put on the rest of its zero set: demanding one (as the exact
     near-pair form does) is unsatisfiable for pairs whose zero sets
     share too little.
+
+    The +, - and 0 sets of the rows are packed into int64 words, and
+    each row X is checked against every Y at once: the separating bits,
+    the rows allowed for each pair, and the zero bits those rows cover.
+    neq[i, j] marks M[j] = -M[i].  The witness (i, j, e) is the first
+    failing pair in lex order with its lowest uncovered element.
     """
-    m, n = M.shape
-    pos = M == 1
-    neg = M == -1
-    zero = M == 0
-    for i in range(m):
-        for j in range(m):
-            if np.array_equal(M[j], -M[i]):
-                continue
-            seps = (pos[i] & neg[j]) | (neg[i] & pos[j])
-            if not seps.any():
-                continue
-            allowed_p = pos[i] | pos[j]
-            allowed_n = neg[i] | neg[j]
-            ok = ~((pos & ~allowed_p) | (neg & ~allowed_n)).any(1)
-            covered = zero[ok].any(0)
-            missing = seps & ~covered
-            if missing.any():
-                e = int(np.argmax(missing))
-                return AxiomReport(
-                    False,
-                    "C3",
-                    (i, j, e + 1),
-                    "no eliminating vector for this pair",
-                )
+    P, N, Z = _pack(M == 1), _pack(M == -1), _pack(M == 0)
+    for i in range(len(M)):
+        seps = (P[i] & N) | (N[i] & P)
+        seps[neq[i]] = 0
+        J = np.flatnonzero(seps.any(1))
+        if len(J) == 0:
+            continue
+        not_p = ~(P[i] | P[J])[:, None]
+        not_n = ~(N[i] | N[J])[:, None]
+        allowed = ~((P & not_p) | (N & not_n)).any(2)
+        covered = np.bitwise_or.reduce(Z * allowed[:, :, None], axis=1)
+        missing = seps[J] & ~covered
+        failed = missing.any(1)
+        if failed.any():
+            t = int(np.argmax(failed))
+            w = int(np.argmax(missing[t] != 0))
+            word = int(missing[t, w])
+            e = w * _WORD + (word & -word).bit_length()
+            return AxiomReport(
+                False, "C3", (i, int(J[t]), e), "no eliminating vector for this pair"
+            )
     return _PASS
 
 
@@ -291,7 +297,9 @@ def check_cocircuit_axioms(vectors, uniform=False):
     elimination; with uniform set, only pairs whose zero sets differ by
     one element are examined (the pairs that carry the axiom for uniform
     sets) through a vectorized lookup, else weak elimination over all
-    pairs.  Witnesses index rows of the input.
+    pairs, one row against all others at a time on packed sign words.
+    Witnesses index rows of the input.  Entries outside {-1, 0, 1} and
+    ragged rows raise InputError.
     """
     M = _as_matrix(vectors)
     m, n = M.shape
@@ -300,21 +308,20 @@ def check_cocircuit_axioms(vectors, uniform=False):
     zero_rows = np.nonzero(~(M != 0).any(1))[0]
     if len(zero_rows):
         return AxiomReport(False, "C0", (int(zero_rows[0]),), "zero vector present")
-    present = {M[i].tobytes(): i for i in range(m)}
-    for i in range(m):
-        if (-M[i]).tobytes() not in present:
-            return AxiomReport(False, "C1", (i,), "negative not in the set")
+    neq = (M[:, None, :] == -M[None, :, :]).all(2)
+    unpaired = ~neq.any(1)
+    if unpaired.any():
+        return AxiomReport(False, "C1", (int(np.argmax(unpaired)),), "negative not in the set")
     support = M != 0
     outside = support.astype(np.int32) @ (1 - support.astype(np.int32)).T
     eq = (M[:, None, :] == M[None, :, :]).all(2)
-    neq = (M[:, None, :] == -M[None, :, :]).all(2)
     bad = (outside == 0) & ~(eq | neq)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
     if uniform:
         return _c3_uniform_batch(M)
-    return _c3_general(M)
+    return _c3_general(M, neq)
 
 
 def _acyclic_extreme(MA):

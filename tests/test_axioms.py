@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import polyom as pm
-from polyom.chirotope import Chirotope, signs_from_string
+from polyom.chirotope import Chirotope, signs_from_string, window_signs
+from polyom.combinat import window_index
 
 
 def member(n, k, idx):
@@ -73,6 +75,58 @@ def test_unimodal_zero_patterns():
     assert pm.check_unimodal(Chirotope(5, 2, [0, 0, 0, 0, 0])).passed
     assert not pm.check_unimodal(Chirotope(5, 2, [1, 0, 1, 1, 1])).passed
     assert not pm.check_unimodal(Chirotope(5, 2, [1, 0, 0, -1, -1])).passed
+
+
+def reference_zero_pattern_ok(seq, length):
+    """One window in the non-uniform case: s^a 0^b (-s)^c with b in {0, 1, all}."""
+    zeros = [i for i, v in enumerate(seq) if v == 0]
+    b = len(zeros)
+    if b == length:
+        return True
+    if b > 1:
+        return False
+    if b == 1:
+        z = zeros[0]
+        head = seq[:z]
+        tail = seq[z + 1:]
+        if head and any(v != head[0] for v in head):
+            return False
+        if tail and any(v != tail[0] for v in tail):
+            return False
+        if head and tail and head[0] != -tail[0]:
+            return False
+        return True
+    changes = sum(1 for a, c in zip(seq, seq[1:]) if a != c)
+    return changes <= 1
+
+
+def test_unimodal_every_window_sequence():
+    # on k+3 elements the single window's sequence is the sign vector itself
+    for k in (1, 2, 3, 4):
+        for seq in itertools.product((-1, 0, 1), repeat=k + 3):
+            rep = pm.check_unimodal(Chirotope(k + 3, k, seq))
+            assert rep.passed == reference_zero_pattern_ok(list(seq), k + 3), seq
+            if not rep.passed:
+                assert rep.witness == (tuple(range(1, k + 4)), seq)
+
+
+def test_unimodal_first_failing_window_on_grid_maps():
+    rng = random.Random(5)
+    for n, k in ((6, 2), (7, 2), (7, 3)):
+        wi = window_index(n, k)
+        for _ in range(40):
+            xs = sorted(rng.sample(range(-3, 4), n))
+            chi = pm.chirotope_of(pm.PointConfig([(x, rng.randint(-3, 3)) for x in xs]), k)
+            signs = chi.signs.copy()
+            signs[rng.randrange(len(signs))] = rng.choice((-1, 0, 1))
+            chi = Chirotope(n, k, signs)
+            S = window_signs(chi)
+            ok = [reference_zero_pattern_ok([int(v) for v in row], k + 3) for row in S]
+            rep = pm.check_unimodal(chi)
+            assert rep.passed == all(ok)
+            if not rep.passed:
+                w = ok.index(False)
+                assert rep.witness == (wi.window_tuples[w], tuple(int(v) for v in S[w]))
 
 
 def test_degenerate_realizable_config_passes_checks():
@@ -222,6 +276,54 @@ def test_single_antipodal_pair_passes_vacuously():
 
 def test_empty_vector_set_passes():
     assert pm.check_cocircuit_axioms(np.zeros((0, 5), np.int8)).passed
+    assert pm.check_cocircuit_axioms([]).passed
+
+
+def test_empty_vectors_are_zero_vectors():
+    for vectors in ([[]], np.zeros((3, 0), np.int8)):
+        rep = pm.check_cocircuit_axioms(vectors)
+        assert rep.axiom == "C0" and rep.witness == (0,)
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([[2, 0], [-2, 0]], "signs must be -1, 0 or +1"),
+        ([[1, 0], [-1, 0], [300, 1]], "signs must be -1, 0 or +1"),
+        ([[1, 0], [-1, 0], [10**30, 1]], "signs must be -1, 0 or +1"),
+        ([[1, 0.5], [-1, -0.5]], "signs must be -1, 0 or +1"),
+        ([["+", "0"], ["-", "0"]], "signs must be -1, 0 or +1"),
+        ([[1, 0], [-1]], "expected a list of equal-length sign vectors"),
+        ([1, -1], "expected a list of equal-length sign vectors"),
+    ],
+)
+def test_cocircuit_axioms_input_faults(vectors, message):
+    for uniform in (True, False):
+        with pytest.raises(pm.InputError) as err:
+            pm.check_cocircuit_axioms(vectors, uniform=uniform)
+        assert str(err.value) == message
+    with pytest.raises(pm.InputError):
+        pm.is_acyclic(vectors)
+
+
+def test_zero_set_keys_exact_beyond_one_word():
+    # a uniform (7,2) set padded to 70 columns, then rotated so that its
+    # columns reach the second 63-bit word; no element wraps around, so a
+    # witness moves with the rotation
+    vecs = pm.cocircuit_vectors(member(7, 2, 5))
+    head = vecs[0]
+    kept = vecs[~((vecs == head).all(1) | (vecs == -head).all(1))]
+    for base in (vecs, kept):
+        plain = {flag: pm.check_cocircuit_axioms(base, uniform=flag) for flag in (True, False)}
+        for shift in (0, 30, 57, 60, 63):
+            wide = np.roll(np.pad(base, ((0, 0), (0, 63))), shift, axis=1)
+            for flag, want in plain.items():
+                rep = pm.check_cocircuit_axioms(wide, uniform=flag)
+                assert (rep.passed, rep.axiom) == (want.passed, want.axiom), (shift, flag)
+                if want.witness:
+                    i, j, e = want.witness
+                    assert rep.witness == (i, j, e + shift)
+    assert plain[True].axiom == plain[False].axiom == "C3"
 
 
 def test_cocircuit_axioms_exhaustive_on_catalogs():
