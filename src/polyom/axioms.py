@@ -324,14 +324,16 @@ def check_cocircuit_axioms(vectors, uniform=False):
     return _c3_general(M, neq)
 
 
-def _acyclic_extreme(MA):
-    """The (B,) acyclic mask and (B, n) extreme-element mask of a (B, m, n)
-    batch of sign-vector sets, each already reoriented.  Acyclic: every
-    element sits strictly inside some nonnegative vector.  Extreme: in
-    the zero set of some nonnegative vector."""
-    nonneg = ~(MA == -1).any(2)[:, :, None]
-    acyclic = ((MA == 1) & nonneg).any(1).all(1) & nonneg.any((1, 2))
-    return acyclic, ((MA == 0) & nonneg).any(1)
+def _acyclic_extreme(M, A):
+    """The acyclic mask and the extreme-element words of the
+    reorientations A (one subset per row, packed as `_pack` packs a row)
+    of the sign-vector set M.  X is nonnegative under A exactly when
+    A & supp(X) == X^-.  Acyclic: the nonnegative supports cover every
+    element.  Extreme: in the zero set of some nonnegative vector."""
+    supp, neg, zero = _pack(M != 0), _pack(M == -1), _pack(M == 0)
+    nonneg = ((A[:, None] & supp) == neg).all(2)[:, :, None]
+    covered = np.bitwise_or.reduce(supp * nonneg, axis=1) == _pack(np.ones((1, M.shape[1]), bool))
+    return nonneg.any((1, 2)) & covered.all(1), np.bitwise_or.reduce(zero * nonneg, axis=1)
 
 
 def is_acyclic(obj):
@@ -340,7 +342,7 @@ def is_acyclic(obj):
     Accepts a Chirotope (cocircuits are computed) or a vector matrix.
     """
     M = cocircuit_vectors(obj) if isinstance(obj, Chirotope) else _as_matrix(obj)
-    return bool(_acyclic_extreme(M[None])[0][0])
+    return bool(_acyclic_extreme(M, np.zeros((1, 1), np.int64))[0][0])
 
 
 def extreme_points(chi):
@@ -348,10 +350,10 @@ def extreme_points(chi):
 
     Defined for acyclic chirotopes only; raises InputError otherwise.
     """
-    acyclic, extreme = _acyclic_extreme(cocircuit_vectors(chi)[None])
+    acyclic, extreme = _acyclic_extreme(cocircuit_vectors(chi), np.zeros((1, 1), np.int64))
     if not acyclic[0]:
         raise InputError("extreme points need an acyclic chirotope")
-    return tuple(int(e) + 1 for e in np.flatnonzero(extreme[0]))
+    return tuple(int(c) + 1 for c in np.flatnonzero(extreme[0, :, None] >> np.arange(_WORD) & 1))
 
 
 @dataclass(frozen=True)
@@ -383,7 +385,7 @@ class ScanReport:
         )
 
 
-# Reorientations per batch of the scan: bounds its (batch, m, n) arrays.
+# Reorientations per batch of the scan: bounds its (batch, m, words) arrays.
 SCAN_CHUNK = 1024
 
 
@@ -397,21 +399,18 @@ def las_vergnas_scan(chi):
     subset bitmask) whose count is closest to k+2.  Subsets enumerate
     as bitmasks, element e <-> bit e-1.
     """
-    M = cocircuit_vectors(chi)
-    n, r = chi.n, chi.r
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    flips = (1 - 2 * bits).astype(np.int8)
-    chunks = range(0, 1 << n, SCAN_CHUNK)
-    parts = [_acyclic_extreme(M * flips[s : s + SCAN_CHUNK, None]) for s in chunks]
+    M, n, r = cocircuit_vectors(chi), chi.n, chi.r
+    subsets = np.arange(1 << n)[:, None]
+    parts = [_acyclic_extreme(M, subsets[s : s + SCAN_CHUNK]) for s in range(0, 1 << n, SCAN_CHUNK)]
     acyclic = np.concatenate([a for a, _ in parts])
     extreme = np.concatenate([x for _, x in parts])
     masks = np.flatnonzero(acyclic)
-    counts = extreme[masks].sum(1)
+    counts = np.bitwise_count(extreme[masks]).sum(1, dtype=np.int64)
     values, freq = np.unique(counts, return_counts=True)
     best_set, best_count = (), -1
     if len(masks):
         best = int(np.argmin(np.abs(counts - r)))
-        best_set = tuple(int(e) + 1 for e in np.flatnonzero(bits[masks[best]]))
+        best_set = tuple(e + 1 for e in range(n) if masks[best] >> e & 1)
         best_count = int(counts[best])
     return ScanReport(
         n=n,

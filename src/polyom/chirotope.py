@@ -38,7 +38,7 @@ class Chirotope:
             raise InputError(
                 f"expected {comb(n, k + 2)} signs for n={n} k={k}, got {arr.size}"
             )
-        if arr.dtype.kind not in "biufO" or not ((arr >= -1) & (arr <= 1)).all():
+        if arr.dtype.kind not in "biufO" or not ((arr == -1) | (arr == 0) | (arr == 1)).all():
             raise InputError("signs must be -1, 0 or +1")
         arr = arr.astype(np.int8, copy=False)
         arr.setflags(write=False)

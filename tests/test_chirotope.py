@@ -49,6 +49,25 @@ def test_constructor_rejects_values_outside_int8():
     assert chi.sign_string() == "+-++-"
 
 
+def test_constructor_rejects_fractional_signs():
+    from fractions import Fraction
+
+    for n, bad in (
+        (4, [0.5]),
+        (4, [-0.5]),
+        (5, [1, -0.9, 1, 1, 1]),
+        (5, np.array([1, 1, 1, 1, 0.999])),
+        (4, [Fraction(1, 2)]),
+        (4, [float("inf")]),
+    ):
+        with pytest.raises(pm.InputError, match="signs must be -1, 0 or"):
+            Chirotope(n, 2, bad)
+    assert Chirotope(4, 2, [1.0]).sign_string() == "+"
+    assert Chirotope(5, 2, [1.0, -1.0, 0.0, 1, -1]).sign_string() == "+-0+-"
+    assert Chirotope(5, 2, np.array([-1.0, 0.0, 1.0, 1.0, 1.0])).sign_string() == "-0+++"
+    assert Chirotope(4, 2, [Fraction(-1)]).sign_string() == "-"
+
+
 def test_signs_are_immutable():
     chi = Chirotope(4, 2, [1])
     with pytest.raises(ValueError):

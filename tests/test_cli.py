@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 import polyom as pm
 from polyom.cli import main
+from test_cocircuit_reference import reference_scan
 
 CUBIC = "0 0\n1 1\n2 8\n3 27\n"
 
@@ -126,6 +127,37 @@ def test_scan_command(tmp_path):
     assert lines[0].startswith("record=0 acyclic=")
     assert "found=1" in lines[0]
     assert lines[-1] == "records=5 found=5"
+
+
+def reference_scan_output(catal):
+    lines, found = [], 0
+    for i, rec in enumerate(catal.records):
+        chi = pm.Chirotope(catal.n, catal.k, pm.signs_from_string(rec))
+        rep = reference_scan(chi, pm.cocircuit_vectors(chi))
+        found += rep.found
+        hist = ";".join(f"{c}:{v}" for c, v in sorted(rep.histogram.items()))
+        best = ",".join(map(str, rep.best_set)) or "-"
+        lines.append(
+            f"record={i} acyclic={rep.acyclic} found={int(rep.found)} "
+            f"best_count={rep.best_count} best_set={best} hist={hist}"
+        )
+    lines.append(f"records={len(catal)} found={found}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (7, 2)])
+def test_scan_output_matches_reference(tmp_path, n, k):
+    cat_path = str(tmp_path / "c.cat")
+    invoke(["enumerate", "--n", str(n), "--k", str(k), "--out", cat_path])
+    result = invoke(["scan", "--catalog", cat_path])
+    assert result.exit_code == 0
+    assert result.stdout == reference_scan_output(pm.read_catalog(cat_path))
+    if (n, k) == (6, 2):
+        # the two lines the README shows
+        assert result.stdout.splitlines()[-2:] == [
+            "record=73 acyclic=52 found=1 best_count=4 best_set=3 hist=4:12;5:24;6:16",
+            "records=74 found=74",
+        ]
 
 
 def test_render_command(tmp_path):

@@ -2,7 +2,8 @@
 
 The references are the straightforward loops: one sorted tuple per
 (base, element) pair for the cocircuits, a per-mask bookkeeping loop for
-the scan's histogram and best reorientation, one tuple at a time for
+the scan's histogram and best reorientation, one row at a time for the
+nonnegative cocircuits of a sign-vector set, one tuple at a time for
 reorientation and restriction.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import polyom as pm
-from polyom.axioms import ScanReport
+from polyom.axioms import SCAN_CHUNK, ScanReport, _acyclic_extreme, _pack
 from polyom.combinat import all_tuples, sort_with_sign
 
 
@@ -74,6 +75,14 @@ def reference_scan(chi, M, chunk=1024):
     return ScanReport(n, chi.k, 1 << n, acyclic_total, hist, found, best_set, best_count)
 
 
+def reference_acyclic_extreme(M):
+    """(acyclic, extreme elements) of a sign-vector set, row by row."""
+    rows = [row for row in M.tolist() if -1 not in row]
+    n = M.shape[1]
+    acyclic = bool(rows) and all(any(row[c] == 1 for row in rows) for c in range(n))
+    return acyclic, tuple(c + 1 for c in range(n) if any(row[c] == 0 for row in rows))
+
+
 def reference_reorient(chi, subset):
     a = set(subset)
     signs = [
@@ -88,6 +97,18 @@ def reference_restrict(chi, elements):
     rank = {t: i for i, t in enumerate(all_tuples(chi.n, chi.r))}
     sub = [chi.signs[rank[t]] for t in itertools.combinations(kept, chi.r)]
     return pm.Chirotope(len(kept), chi.k, sub)
+
+
+def wide_grid_maps(seed, n, k, count):
+    """Seeded non-uniform maps of n points, x in [-8, 8] and y in [-2, 2]."""
+    rng = random.Random(f"wide-grid-{seed}-{n}-{k}")
+    out = []
+    while len(out) < count:
+        xs = rng.sample(range(-8, 9), n)
+        chi = pm.chirotope_of(pm.PointConfig([(x, rng.randint(-2, 2)) for x in xs]), k)
+        if not chi.is_uniform() and chi.signs.any():
+            out.append(chi)
+    return out
 
 
 def catalog_maps(n, k, stride=1):
@@ -148,6 +169,100 @@ def test_is_acyclic_and_extreme_points_match_scan_counts():
                 cnt = len(pm.extreme_points(re))
                 hist[cnt] = hist.get(cnt, 0) + 1
         assert hist == pm.las_vergnas_scan(chi).histogram
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        lambda: [pm.chirotope_of(pm.random_config(11, 2, seed), 2) for seed in (1, 2)],
+        lambda: [pm.chirotope_of(pm.random_config(12, 3, 3), 3)],
+        lambda: wide_grid_maps(6, 11, 2, 2) + wide_grid_maps(7, 12, 1, 1),
+    ],
+    ids=["uniform_11_2", "uniform_12_3", "grid_11_12"],
+)
+def test_scan_across_chunks_matches_reference(maps):
+    for base in maps():
+        assert 1 << base.n > SCAN_CHUNK
+        for chi in (base, base.reorient(range(9, base.n + 1))):
+            rep = pm.las_vergnas_scan(chi)
+            assert rep == reference_scan(chi, reference_cocircuit_vectors(chi)), chi
+            assert rep.acyclic > 0
+
+
+def wide_matrices(seed, width):
+    """Sign-vector sets whose nonnegative rows cover every column but one,
+    the uncovered column c placed in each word; with c covered, and with
+    the covering row broken by a negative entry at c."""
+    rng = np.random.default_rng([seed, width])
+    out = []
+    for c in sorted({0, 62, width // 2, width - 1} & set(range(width))):
+        noise = rng.choice(np.array([-1, 0, 1], np.int8), size=(6, width))
+        cover = (rng.random((4, width)) < 0.6).astype(np.int8)
+        cover[:, c] = 0
+        cover[rng.integers(0, 4, width), np.arange(width)] |= np.arange(width) != c
+        out.append(np.concatenate([noise, cover, -cover]))
+        fixed = out[-1].copy()
+        fixed[6, c] = 1
+        out.append(fixed)
+        broken = fixed.copy()
+        broken[6, c] = -1
+        out.append(broken)
+    return out
+
+
+def word_elements(words, width):
+    """The elements (1-based columns) whose bits are set in one packed row."""
+    return tuple(c + 1 for c in range(width) if int(words[c // 63]) >> (c % 63) & 1)
+
+
+@pytest.mark.parametrize("width", [62, 63, 64, 65, 70, 126, 127, 130])
+def test_acyclic_and_extreme_on_wide_vector_sets(width):
+    verdicts = set()
+    rng = np.random.default_rng(width)
+    for M in wide_matrices(11, width):
+        acyclic, extreme = reference_acyclic_extreme(M)
+        verdicts.add(acyclic)
+        assert pm.is_acyclic(M) == acyclic
+        got = _acyclic_extreme(M, np.zeros((1, 1), np.int64))
+        assert bool(got[0][0]) == acyclic
+        assert word_elements(got[1][0], width) == extreme
+        flips = np.concatenate([M[[0, 6, 10, 13]] == -1, rng.random((4, width)) < 0.1])
+        got = _acyclic_extreme(M, _pack(flips))
+        for f, a, words in zip(flips, got[0], got[1]):
+            acyclic, extreme = reference_acyclic_extreme(np.where(f, -M, M))
+            assert bool(a) == acyclic
+            assert word_elements(words, width) == extreme
+    assert verdicts == {True, False}
+
+
+def test_is_acyclic_on_empty_sets():
+    # no vector is never acyclic; vectors over no elements are, vacuously
+    for M, want in (([], False), (np.zeros((0, 3)), False), ([[]], True), (np.zeros((3, 0)), True)):
+        assert pm.is_acyclic(M) == want
+        if np.ndim(M) == 2:
+            assert reference_acyclic_extreme(np.asarray(M, np.int8))[0] == want
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_extreme_points_on_wide_chirotopes(n):
+    uniform = pm.chirotope_of(pm.random_config(n, 1, n), 1)
+    rng = random.Random(f"wide-{n}")
+    xs = rng.sample(range(-40, 41), n)
+    degenerate = pm.chirotope_of(pm.PointConfig([(x, rng.randint(-1, 1)) for x in xs]), 1)
+    assert uniform.is_uniform() and not degenerate.is_uniform()
+    for chi in (uniform, degenerate):
+        extreme = reference_acyclic_extreme(pm.cocircuit_vectors(chi))[1]
+        assert extreme == pm.extreme_points(chi)
+        assert max(extreme) > 63
+        for subset in ([max(extreme)], [e for e in extreme if e > 63][:1], [1, n], list(range(60, n + 1))):
+            re = chi.reorient(subset)
+            acyclic, extreme = reference_acyclic_extreme(pm.cocircuit_vectors(re))
+            assert pm.is_acyclic(re) == acyclic
+            if acyclic:
+                assert pm.extreme_points(re) == extreme
+            else:
+                with pytest.raises(pm.InputError):
+                    pm.extreme_points(re)
 
 
 def test_reorient_and_restrict_match_reference():
