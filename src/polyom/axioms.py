@@ -205,40 +205,38 @@ def _row_keys(words):
     return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * w)))[:, 0]
 
 
-def _c3_uniform_batch(M):
+def _bits(words, n):
+    """Inverse of `_pack`: (m, W) words as an (m, n) boolean matrix."""
+    m, w = words.shape
+    bits = np.unpackbits(words.astype("<i8", copy=False).view(np.uint8), axis=1, bitorder="little")
+    return bits.reshape(m, w, 64)[:, :, :_WORD].reshape(m, w * _WORD)[:, :n].view(bool)
+
+
+def _c3_uniform_batch(M, P, N, eq):
     """Vectorized elimination check for pairs with |X^0 \\ Y^0| = 1.
 
-    Runs on the first occurrence of each distinct row.  Once C2 has
-    passed, distinct rows sharing a zero set are a single X, -X pair,
-    so at most two candidates per zero set need a look; zero sets are
-    looked up by their packed words.  Witnesses index rows of the input.
+    Runs on the rows whose first equal row (eq) is themselves.  Once C2
+    has passed, distinct rows sharing a zero set are a single X, -X
+    pair, so at most two candidates per zero set need a look; zero sets
+    are looked up by their packed words.  P and N are the packed + and
+    - words of M.  Witnesses index rows of the input.
     """
-    _, first = np.unique(M, axis=0, return_index=True)
-    keep = np.sort(first)
-    M = M[keep]
+    keep = np.flatnonzero(eq.argmax(1) == np.arange(len(eq)))
+    M, P, N = M[keep], P[keep], N[keep]
     m, n = M.shape
-    zb = M == 0
-    zint = zb.astype(np.int32)
-    q = (zint @ (1 - zint).T) == 1
-    prod = M[:, None, :] * M[None, :, :]
-    trips = np.argwhere(q[:, :, None] & (prod == -1))
-    if len(trips) == 0:
-        return _PASS
-    I, J, E = trips[:, 0], trips[:, 1], trips[:, 2]
-    Z = _pack(zb)
-    unit = _pack(np.eye(n, dtype=bool))
-    zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | unit[E])
+    Z = _pack(M == 0)
+    I, J = np.divmod(np.flatnonzero(np.bitwise_count(Z[:, None] & ~Z).sum(2) == 1), m)
+    T, E = np.divmod(np.flatnonzero(_bits((P[I] & N[J]) | (N[I] & P[J]), n)), n)
+    I, J = I[T], J[T]
+    zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | _pack(np.eye(n, dtype=bool))[E])
     order = np.argsort(zkeys, kind="stable")
     zs = zkeys[order]
-    pos = np.searchsorted(zs, want, side="left")
-    agree = (M[I] == M[J]) & (M[I] != 0)
-
-    def fits(p):
-        valid = (p < m) & (zs[np.minimum(p, m - 1)] == want)
-        rows = M[order[np.minimum(p, m - 1)]]
-        return valid & ~((agree & (rows != M[I])).any(1))
-
-    ok = fits(pos) | fits(pos + 1)
+    # the two candidates of each triple: the first row with its zero set and the next
+    pos = np.searchsorted(zs, want, side="left") + np.arange(2)[:, None]
+    at = np.minimum(pos, m - 1)
+    R = order[at]
+    clash = ((P[I] & P[J] & ~P[R]) | (N[I] & N[J] & ~N[R])).any(2)
+    ok = ((pos < m) & (zs[at] == want) & ~clash).any(0)
     if ok.all():
         return _PASS
     t = int(np.argmax(~ok))
@@ -293,7 +291,8 @@ def check_cocircuit_axioms(vectors, uniform=False):
     """C0 through C3 for a finite set of sign vectors.
 
     C0: the zero vector is absent.  C1: closed under negation.  C2: a
-    support contained in another forces equality up to sign.  C3:
+    support contained in another forces equality up to sign.  C0 to C2
+    compare the rows' packed + and - words, all pairs at once.  C3:
     elimination; with uniform set, only pairs whose zero sets differ by
     one element are examined (the pairs that carry the axiom for uniform
     sets) through a vectorized lookup, else weak elimination over all
@@ -302,25 +301,24 @@ def check_cocircuit_axioms(vectors, uniform=False):
     ragged rows raise InputError.
     """
     M = _as_matrix(vectors)
-    m, n = M.shape
-    if m == 0:
+    if len(M) == 0:
         return _PASS
-    zero_rows = np.nonzero(~(M != 0).any(1))[0]
+    P, N = _pack(M == 1), _pack(M == -1)
+    S = P | N
+    zero_rows = np.flatnonzero(~S.any(1))
     if len(zero_rows):
         return AxiomReport(False, "C0", (int(zero_rows[0]),), "zero vector present")
-    neq = (M[:, None, :] == -M[None, :, :]).all(2)
+    neq = ((P[:, None] == N) & (N[:, None] == P)).all(2)
     unpaired = ~neq.any(1)
     if unpaired.any():
         return AxiomReport(False, "C1", (int(np.argmax(unpaired)),), "negative not in the set")
-    support = M != 0
-    outside = support.astype(np.int32) @ (1 - support.astype(np.int32)).T
-    eq = (M[:, None, :] == M[None, :, :]).all(2)
-    bad = (outside == 0) & ~(eq | neq)
+    eq = ((P[:, None] == P) & (N[:, None] == N)).all(2)
+    bad = ~(S[:, None] & ~S).any(2) & ~(eq | neq)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
     if uniform:
-        return _c3_uniform_batch(M)
+        return _c3_uniform_batch(M, P, N, eq)
     return _c3_general(M, neq)
 
 
@@ -353,7 +351,7 @@ def extreme_points(chi):
     acyclic, extreme = _acyclic_extreme(cocircuit_vectors(chi), np.zeros((1, 1), np.int64))
     if not acyclic[0]:
         raise InputError("extreme points need an acyclic chirotope")
-    return tuple(int(c) + 1 for c in np.flatnonzero(extreme[0, :, None] >> np.arange(_WORD) & 1))
+    return tuple(int(c) + 1 for c in np.flatnonzero(_bits(extreme[:1], chi.n)))
 
 
 @dataclass(frozen=True)

@@ -38,18 +38,20 @@ class Catalog:
     def __post_init__(self):
         if self.k < 1 or self.n < self.k + 2:
             raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={self.n} k={self.k}")
-        unordered = None
+        width, unordered = comb(self.n, self.k + 2), None
         for lo in range(0, len(self.records), _CHECK_BLOCK):
             # one record of overlap, for the order check
-            chars = record_chars(self.records[lo : lo + _CHECK_BLOCK + 1], comb(self.n, self.k + 2))
+            block = self.records[lo : lo + _CHECK_BLOCK + 1]
+            # a record of another width is bad whatever it holds
+            chars = record_chars(block, width)
             signs = char_signs(chars)
             bad = (signs > 1).any(1)
             fault = bad | (leading_signs(signs) != 1)
-            if fault.any():
-                rec = self.records[lo + fault.argmax()]
-                if bad[fault.argmax()]:
-                    raise InputError(f"bad record for n={self.n} k={self.k}: {rec!r}")
-                raise InputError(f"record not canonical (first nonzero sign must be +): {rec!r}")
+            at = int(fault.argmax()) if fault.any() else len(chars)
+            if at < len(block):
+                if at == len(chars) or bad[at]:
+                    raise InputError(f"bad record for n={self.n} k={self.k}: {block[at]!r}")
+                raise InputError(f"record not canonical (first nonzero sign must be +): {block[at]!r}")
             up = ascending(chars)
             if unordered is None and not up.all():
                 unordered = lo + up.argmin()

@@ -167,9 +167,12 @@ def leading_signs(signs):
 
 
 def record_chars(records, width):
-    """Records as an (m, width) uint8 matrix; wrong widths read as non-signs."""
-    data = "".join(r if len(r) == width else "?" * width for r in records)
-    return np.frombuffer(data.encode("ascii", "replace"), np.uint8).reshape(len(records), width)
+    """The records before the first one of another length, as an (m, width)
+    uint8 matrix ((0, 1) when there are none); non-ASCII reads as a non-sign."""
+    wrong = np.fromiter(map(len, records), np.int64, len(records)) != width
+    m = int(wrong.argmax()) if wrong.any() else len(records)
+    data = "".join(records[:m]).encode("ascii", "replace")
+    return np.frombuffer(data, np.uint8).reshape(m, width if m else 1)
 
 
 def records_of(chars):
@@ -200,7 +203,9 @@ def cocircuit_vectors(chi):
     idx = tuple_index(chi.n, chi.k)
     vecs = idx.parity * chi.signs[idx.rank]
     vecs = vecs[(vecs != 0).any(1)]
-    out = np.unique(np.concatenate([vecs, -vecs]), axis=0)
+    both = np.concatenate([vecs, -vecs])
+    out = both[record_order((both + 1).view(np.uint8))]  # -1, 0, +1 sort as bytes 0, 1, 2
+    out = out[np.append(True, (out[1:] != out[:-1]).any(1))[: len(out)]]  # drop repeated rows
     out.setflags(write=False)
     return out
 

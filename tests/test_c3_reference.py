@@ -1,19 +1,23 @@
-"""Weak elimination (C3) on packed sign words against the pair loop.
+"""The cocircuit axioms on packed sign words against references.
 
-The oracle is the straightforward loop over ordered pairs (X, Y), one
-pair at a time, with the same lex-first witness (i, j, e).  The array
-code must give the same AxiomReport on real cocircuit sets, on their
+The oracles are the straightforward loops: C0 to C2 over rows and
+ordered pairs, weak elimination (C3) over ordered pairs (X, Y) one pair
+at a time with the same lex-first witness (i, j, e), and for the uniform
+path the int8 batch check that preceded the packed one.  The array code
+must give the same AxiomReport on real cocircuit sets, on their
 corruptions, and on synthetic sets wider than one 63-bit word.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import polyom as pm
-from polyom.axioms import AxiomReport, _c3_general
+from polyom.axioms import AxiomReport, _c3_general, _pack, _row_keys
 from test_properties import PROPS, sign_matrices
 
 _PASS = AxiomReport(True)
@@ -44,22 +48,76 @@ def reference_c3(M):
     return _PASS
 
 
+def reference_c0_c2(M):
+    """C0, C1 and C2 as loops over the rows and the ordered pairs of rows."""
+    rows = [tuple(row) for row in M.tolist()]
+    negs = [tuple(-v for v in row) for row in rows]
+    for i, row in enumerate(rows):
+        if not any(row):
+            return AxiomReport(False, "C0", (i,), "zero vector present")
+    present = set(rows)
+    for i, neg in enumerate(negs):
+        if neg not in present:
+            return AxiomReport(False, "C1", (i,), "negative not in the set")
+    supports = [{e for e, v in enumerate(row) if v} for row in rows]
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if supports[i] <= supports[j] and rows[i] not in (rows[j], negs[j]):
+                return AxiomReport(False, "C2", (i, j), "nested supports, not a sign pair")
+    return _PASS
+
+
 def reference_check(M):
     """check_cocircuit_axioms(uniform=False) as loops: C0, C1, C2, then the oracle."""
+    first = reference_c0_c2(M)
+    return reference_c3(M) if first else first
+
+
+def reference_c3_uniform(M):
+    """The uniform elimination check on int8 rows: distinct rows by
+    np.unique, |X^0 \\ Y^0| by an int32 product, separating elements from
+    an (m, m, n) product, agreement by per-triple gathers."""
+    _, first = np.unique(M, axis=0, return_index=True)
+    keep = np.sort(first)
+    M = M[keep]
     m, n = M.shape
-    for i in range(m):
-        if not M[i].any():
-            return AxiomReport(False, "C0", (i,), "zero vector present")
-    present = {M[i].tobytes() for i in range(m)}
-    for i in range(m):
-        if (-M[i]).tobytes() not in present:
-            return AxiomReport(False, "C1", (i,), "negative not in the set")
-    for i in range(m):
-        for j in range(m):
-            nested = not (M[i].astype(bool) & ~M[j].astype(bool)).any()
-            if nested and not (np.array_equal(M[i], M[j]) or np.array_equal(M[i], -M[j])):
-                return AxiomReport(False, "C2", (i, j), "nested supports, not a sign pair")
-    return reference_c3(M)
+    zb = M == 0
+    zint = zb.astype(np.int32)
+    q = (zint @ (1 - zint).T) == 1
+    prod = M[:, None, :] * M[None, :, :]
+    trips = np.argwhere(q[:, :, None] & (prod == -1))
+    if len(trips) == 0:
+        return _PASS
+    I, J, E = trips[:, 0], trips[:, 1], trips[:, 2]
+    Z = _pack(zb)
+    unit = _pack(np.eye(n, dtype=bool))
+    zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | unit[E])
+    order = np.argsort(zkeys, kind="stable")
+    zs = zkeys[order]
+    pos = np.searchsorted(zs, want, side="left")
+    agree = (M[I] == M[J]) & (M[I] != 0)
+
+    def fits(p):
+        valid = (p < m) & (zs[np.minimum(p, m - 1)] == want)
+        rows = M[order[np.minimum(p, m - 1)]]
+        return valid & ~((agree & (rows != M[I])).any(1))
+
+    ok = fits(pos) | fits(pos + 1)
+    if ok.all():
+        return _PASS
+    t = int(np.argmax(~ok))
+    return AxiomReport(
+        False,
+        "C3",
+        (int(keep[I[t]]), int(keep[J[t]]), int(E[t]) + 1),
+        "no eliminating vector for this pair",
+    )
+
+
+def reference_check_uniform(M):
+    """check_cocircuit_axioms(uniform=True): the loops for C0 to C2, then the int8 oracle."""
+    first = reference_c0_c2(M)
+    return reference_c3_uniform(M) if first else first
 
 
 def packed_c3(M):
@@ -162,3 +220,82 @@ def test_small_sign_matrices(M, close):
         M = np.vstack([M, -M])
     assert_same(M)
     assert pm.check_cocircuit_axioms(M) == reference_check(M)
+    assert pm.check_cocircuit_axioms(M, uniform=True) == reference_check_uniform(M)
+
+
+# ------------------------------------------- both paths of check_cocircuit_axioms
+
+
+def assert_both_paths(M, loop_c3=False):
+    """check_cocircuit_axioms on both paths against the loops for C0 to C2,
+    then the int8 uniform oracle, and the pair loop (loop_c3) or the packed
+    C3 fed by its own int8 comparison for the general path."""
+    first = reference_c0_c2(M)
+    uniform = reference_c3_uniform(M) if first else first
+    general = (reference_c3(M) if loop_c3 else packed_c3(M)) if first else first
+    assert pm.check_cocircuit_axioms(M, uniform=True) == uniform, M.tolist()
+    assert pm.check_cocircuit_axioms(M, uniform=False) == general, M.tolist()
+    return uniform.axiom or "PASS", general.axiom or "PASS"
+
+
+def variants(M, rng):
+    """M, three single-entry corruptions, a sign flipped in both rows of an
+    X, -X pair (C0 to C2 still hold), a row deletion, an X, -X pair
+    deletion, five appended duplicate rows and a row shuffle."""
+    m, n = M.shape
+    out = [M]
+    for _ in range(3):
+        bad = M.copy()
+        i, e = rng.randrange(m), rng.randrange(n)
+        bad[i, e] = rng.choice([v for v in (-1, 0, 1) if v != bad[i, e]])
+        out.append(bad)
+    r = rng.randrange(m)
+    e = rng.choice(np.flatnonzero(M[r]).tolist())
+    pair = (M == M[r]).all(1) | (M == -M[r]).all(1)
+    flipped = M.copy()
+    flipped[pair, e] *= -1
+    out.append(flipped)
+    out.append(np.delete(M, rng.randrange(m), axis=0))
+    out.append(without_pair(M, rng.randrange(m)))
+    out.append(np.vstack([M, M[[rng.randrange(m) for _ in range(5)]]]))
+    out.append(M[rng.sample(range(m), m)])
+    return out
+
+
+# (n, k): stride through the catalog
+CATALOG_CORPUS = {(6, 2): 1, (7, 2): 64, (8, 4): 8, (9, 5): 40, (7, 3): 2}
+
+
+@pytest.mark.parametrize("n, k", sorted(CATALOG_CORPUS))
+def test_both_paths_on_catalog_records_and_variants(n, k):
+    rng = random.Random(f"corpus-{n}-{k}")
+    verdicts = Counter()
+    for chi in list(pm.enumerate_chirotopes(n, k).chirotopes())[:: CATALOG_CORPUS[n, k]]:
+        for M in variants(np.array(pm.cocircuit_vectors(chi)), rng):
+            verdicts.update(assert_both_paths(M))
+    assert verdicts["PASS"] and verdicts["C1"] and verdicts["C3"]
+
+
+def test_both_paths_on_widened_sets():
+    rng = random.Random(130)
+    base = [pm.cocircuit_vectors(chi) for chi in benchmark_grid_maps(3, 6, 2, (1, 1))]
+    base += [pm.cocircuit_vectors(chi) for chi in list(pm.enumerate_chirotopes(7, 2).chirotopes())[:20:7]]
+    verdicts = Counter()
+    for width in (63, 64, 70, 127, 130):
+        for M in base:
+            for V in variants(widened(M, width, rng), rng):
+                verdicts.update(assert_both_paths(V))
+    assert verdicts["PASS"] and verdicts["C1"] and verdicts["C3"]
+
+
+def test_both_paths_on_random_small_matrices():
+    rng = random.Random(3000)
+    verdicts = Counter()
+    for _ in range(3000):
+        m, n = rng.randrange(12), rng.randrange(1, 10)
+        M = np.array([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(m)], np.int8)
+        M = M.reshape(m, n)
+        if rng.random() < 0.5:
+            M = np.vstack([M, -M])
+        verdicts.update(assert_both_paths(M, loop_c3=True))
+    assert set(verdicts) == {"PASS", "C0", "C1", "C2", "C3"}

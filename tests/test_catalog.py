@@ -165,6 +165,18 @@ def test_bad_witness_reports_catalog_line():
         assert reason in str(info.value)
 
 
+@pytest.mark.parametrize("n, k", [(10**6, 5), (3000, 2)])
+def test_header_width_no_record_has(n, k):
+    # C(10**6, 7) exceeds 2**63 and C(3000, 4) is about 3.4e12 characters:
+    # a record of another width is bad without a row of the header's width
+    with pytest.raises(pm.InputError) as info:
+        parse_catalog(rehash(n, k, ["+"]))
+    assert str(info.value) == f"bad record for n={n} k={k}: '+'"
+    with pytest.raises(pm.InputError) as info:
+        Catalog(n, k, ("+", "-"))
+    assert str(info.value) == f"bad record for n={n} k={k}: '+'"
+
+
 def test_first_bad_record_is_reported():
     recs = pm.enumerate_chirotopes(5, 2).strings()
     # record 1 is not canonical, record 3 has a bad character and record 4

@@ -7,7 +7,8 @@ from click.testing import CliRunner
 
 import polyom as pm
 from polyom.cli import main
-from test_cocircuit_reference import reference_scan
+from test_c3_reference import reference_check_uniform
+from test_cocircuit_reference import reference_cocircuit_vectors, reference_scan
 
 CUBIC = "0 0\n1 1\n2 8\n3 27\n"
 
@@ -52,6 +53,33 @@ def test_check_json_output(tmp_path):
     data = json.loads(result.output)
     assert data["degree_k"]["passed"] is True
     assert data["cocircuits"]["passed"] is True
+
+
+def six_two_maps_and_flips():
+    """Every (6,2) record and every map one sign flip away from one."""
+    for rec in pm.enumerate_chirotopes(6, 2).strings():
+        yield rec
+        for i in range(len(rec)):
+            yield rec[:i] + "-+"[rec[i] == "-"] + rec[i + 1 :]
+
+
+def test_check_output_matches_reference(tmp_path):
+    path = tmp_path / "chi.txt"
+    for rec in six_two_maps_and_flips():
+        chi = pm.Chirotope(6, 2, pm.signs_from_string(rec))
+        assert chi.is_uniform()
+        deg = pm.check_degree_k(chi)
+        coc = reference_check_uniform(reference_cocircuit_vectors(chi))
+        code = 0 if deg and coc else 1
+        path.write_text(pm.to_text(chi))
+        result = invoke(["check", str(path)])
+        assert (result.exit_code, result.stdout) == (
+            code, f"degree_k: {deg.text()}\ncocircuits: {coc.text()}\n"
+        ), rec
+        result = invoke(["check", str(path), "--json"])
+        assert (result.exit_code, result.stdout) == (
+            code, '{"degree_k": ' + deg.to_json() + ', "cocircuits": ' + coc.to_json() + "}\n"
+        ), rec
 
 
 def test_check_failure_exits_one(tmp_path):
@@ -326,3 +354,14 @@ def test_non_utf8_input_exits_two(tmp_path, args):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "0xe9" in result.stderr
+
+
+def test_catalog_header_wider_than_any_array_exits_two(tmp_path):
+    # C(10**6, 7) characters per record exceeds 2**63
+    body = "+\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    cat_path = write(tmp_path / "c.cat", f"n=1000000 k=5 count=1 sha256={digest}\n" + body)
+    for args in (["scan"], ["realize", "--trials", "1"]):
+        result = invoke(args + ["--catalog", cat_path])
+        assert result.exit_code == 2, args
+        assert result.stderr == "error: bad record for n=1000000 k=5: '+'\n"

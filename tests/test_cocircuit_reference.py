@@ -15,7 +15,9 @@ import pytest
 
 import polyom as pm
 from polyom.axioms import SCAN_CHUNK, ScanReport, _acyclic_extreme, _pack
-from polyom.combinat import all_tuples, sort_with_sign
+from polyom.combinat import all_tuples, sort_with_sign, tuple_index
+from test_acceptance import REQUIRED_COUNTS
+from test_c3_reference import benchmark_grid_maps
 
 
 def reference_cocircuit_vectors(chi):
@@ -243,12 +245,17 @@ def test_is_acyclic_on_empty_sets():
             assert reference_acyclic_extreme(np.asarray(M, np.int8))[0] == want
 
 
-@pytest.mark.parametrize("n", [64, 70])
-def test_extreme_points_on_wide_chirotopes(n):
+def wide_point_maps(n):
+    """A uniform and a non-uniform degree-1 map of n points, n past 63."""
     uniform = pm.chirotope_of(pm.random_config(n, 1, n), 1)
     rng = random.Random(f"wide-{n}")
     xs = rng.sample(range(-40, 41), n)
-    degenerate = pm.chirotope_of(pm.PointConfig([(x, rng.randint(-1, 1)) for x in xs]), 1)
+    return uniform, pm.chirotope_of(pm.PointConfig([(x, rng.randint(-1, 1)) for x in xs]), 1)
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_extreme_points_on_wide_chirotopes(n):
+    uniform, degenerate = wide_point_maps(n)
     assert uniform.is_uniform() and not degenerate.is_uniform()
     for chi in (uniform, degenerate):
         extreme = reference_acyclic_extreme(pm.cocircuit_vectors(chi))[1]
@@ -282,3 +289,33 @@ def test_reorient_and_restrict_match_reference():
             chi.reorient(bad)
         with pytest.raises(pm.InputError):
             chi.restrict(list(ground) + bad)
+
+
+def unique_cocircuit_vectors(chi):
+    """The signed base vectors and their negatives through np.unique(axis=0)."""
+    idx = tuple_index(chi.n, chi.k)
+    vecs = idx.parity * chi.signs[idx.rank]
+    vecs = vecs[(vecs != 0).any(1)]
+    return np.unique(np.concatenate([vecs, -vecs]), axis=0)
+
+
+def assert_unique_form(chi):
+    got, want = pm.cocircuit_vectors(chi), unique_cocircuit_vectors(chi)
+    assert got.dtype == want.dtype == np.int8 and got.shape == want.shape, chi
+    assert np.array_equal(got, want), chi
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n, k", sorted(REQUIRED_COUNTS))
+def test_cocircuit_vectors_match_unique_form_on_catalogs(n, k):
+    for chi in pm.enumerate_chirotopes(n, k).chirotopes():
+        assert_unique_form(chi)
+
+
+def test_cocircuit_vectors_match_unique_form_on_grid_and_wide_maps():
+    # the census sizes of non-uniform maps, with 1 and with 2 zero signs
+    maps = [chi for seed in range(4) for chi in benchmark_grid_maps(seed, 6, 2, (8, 4))]
+    maps += [chi for seed in range(4) for chi in benchmark_grid_maps(seed, 7, 2, (6, 3))]
+    assert {int((chi.signs == 0).sum()) for chi in maps} == {1, 2}
+    for chi in maps + [*wide_point_maps(64), *wide_point_maps(70)]:
+        assert_unique_form(chi)
