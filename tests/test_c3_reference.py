@@ -2,10 +2,12 @@
 
 The oracles are the straightforward loops: C0 to C2 over rows and
 ordered pairs, weak elimination (C3) over ordered pairs (X, Y) one pair
-at a time with the same lex-first witness (i, j, e), and for the uniform
-path the int8 batch check that preceded the packed one.  The array code
-must give the same AxiomReport on real cocircuit sets, on their
-corruptions, and on synthetic sets wider than one 63-bit word.
+at a time with the same lex-first witness (i, j, e), and for the
+uniform path an int8 batch check of the pairs whose zero sets differ by
+one element, which pins its witnesses.  The array code must give the
+same AxiomReport on real cocircuit sets, on their corruptions, and on
+synthetic sets wider than one 63-bit word; on uniform sets both paths
+must give the pair loop's verdict.
 """
 
 import random
@@ -17,31 +19,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polyom as pm
+import polyom.axioms as axioms
 from polyom.axioms import AxiomReport, _c3_general, _pack, _row_keys
 from test_properties import PROPS, sign_matrices
 
 _PASS = AxiomReport(True)
 
 
+def reference_c3_pair(M, i, j):
+    """The lowest element (from 0) at which rows i and j separate and no
+    vector of M drawing its signs from them vanishes, else None."""
+    pos, neg, zero = M == 1, M == -1, M == 0
+    if np.array_equal(M[j], -M[i]):
+        return None
+    seps = (pos[i] & neg[j]) | (neg[i] & pos[j])
+    allowed_p = pos[i] | pos[j]
+    allowed_n = neg[i] | neg[j]
+    ok = ~((pos & ~allowed_p) | (neg & ~allowed_n)).any(1)
+    missing = seps & ~zero[ok].any(0)
+    return int(np.argmax(missing)) if missing.any() else None
+
+
 def reference_c3(M):
-    m, n = M.shape
-    pos = M == 1
-    neg = M == -1
-    zero = M == 0
+    m = len(M)
     for i in range(m):
         for j in range(m):
-            if np.array_equal(M[j], -M[i]):
-                continue
-            seps = (pos[i] & neg[j]) | (neg[i] & pos[j])
-            if not seps.any():
-                continue
-            allowed_p = pos[i] | pos[j]
-            allowed_n = neg[i] | neg[j]
-            ok = ~((pos & ~allowed_p) | (neg & ~allowed_n)).any(1)
-            covered = zero[ok].any(0)
-            missing = seps & ~covered
-            if missing.any():
-                e = int(np.argmax(missing))
+            e = reference_c3_pair(M, i, j)
+            if e is not None:
                 return AxiomReport(
                     False, "C3", (i, j, e + 1), "no eliminating vector for this pair"
                 )
@@ -76,7 +80,9 @@ def reference_check(M):
 def reference_c3_uniform(M):
     """The uniform elimination check on int8 rows: distinct rows by
     np.unique, |X^0 \\ Y^0| by an int32 product, separating elements from
-    an (m, m, n) product, agreement by per-triple gathers."""
+    an (m, m, n) product, and per-triple gathers of the candidate rows,
+    which may carry + only where X or Y does and - only where X or Y
+    does."""
     _, first = np.unique(M, axis=0, return_index=True)
     keep = np.sort(first)
     M = M[keep]
@@ -95,12 +101,12 @@ def reference_c3_uniform(M):
     order = np.argsort(zkeys, kind="stable")
     zs = zkeys[order]
     pos = np.searchsorted(zs, want, side="left")
-    agree = (M[I] == M[J]) & (M[I] != 0)
 
     def fits(p):
         valid = (p < m) & (zs[np.minimum(p, m - 1)] == want)
         rows = M[order[np.minimum(p, m - 1)]]
-        return valid & ~((agree & (rows != M[I])).any(1))
+        clash = ((rows == 1) & (M[I] != 1) & (M[J] != 1)) | ((rows == -1) & (M[I] != -1) & (M[J] != -1))
+        return valid & ~clash.any(1)
 
     ok = fits(pos) | fits(pos + 1)
     if ok.all():
@@ -213,6 +219,58 @@ def test_sets_wider_than_one_word():
     assert failed and any(rep.witness[2] > 63 for rep in failed)
 
 
+def candidate_pairs(M):
+    """The pairs i < j, in lex order, that separate somewhere and are
+    not X, -X: the pairs the general path forms."""
+    m = len(M)
+    return [
+        (i, j) for i in range(m) for j in range(i + 1, m)
+        if (M[i] * M[j] == -1).any() and not np.array_equal(M[j], -M[i])
+    ]
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 7, 54])
+def test_general_pass_across_blocks(monkeypatch, pairs_per_block):
+    """Blocks hold pairs in lex order.  Here the lex-first failing pair
+    lies beyond the first block, and failing pairs with a larger i lie
+    in later blocks; the witness must still be the pair loop's."""
+    chi = benchmark_grid_maps(3, 6, 2, (1, 0))[0]
+    M = without_pair(np.array(pm.cocircuit_vectors(chi)), 5)
+    m, n = M.shape
+    pairs = candidate_pairs(M)
+    fails = [p for p in pairs if reference_c3_pair(M, *p) is not None]
+    first = pairs.index(fails[0]) // pairs_per_block
+    assert first > 0
+    assert any(pairs.index(p) // pairs_per_block > first for p in fails if p[0] > fails[0][0])
+    monkeypatch.setattr(axioms, "C3_CHUNK", pairs_per_block * (m + 2 * n))
+    assert assert_same(M) == AxiomReport(
+        False, "C3", (fails[0][0], fails[0][1], reference_c3_pair(M, *fails[0]) + 1),
+        "no eliminating vector for this pair",
+    )
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 3, None])
+def test_general_pass_on_edge_sets(monkeypatch, pairs_per_block):
+    """Duplicate rows, sets of X, -X pairs only, and single rows, in
+    blocks of one pair, three pairs and the default budget."""
+    rng = random.Random(1)
+    chi = benchmark_grid_maps(3, 6, 2, (1, 0))[0]
+    M = np.array(pm.cocircuit_vectors(chi))
+    sets = [np.vstack([M, M[:5]]), np.vstack([M[::-1], M]), np.vstack([without_pair(M, 5)] * 2)]
+    for pairs in (1, 1, 2, 2, 3, 3, 3, 3):
+        rows = np.array([[rng.choice((-1, 0, 1)) for _ in range(6)] for _ in range(pairs)], np.int8)
+        sets.append(np.vstack([rows, -rows]))
+    sets += [M[:1], np.array([[1, -1, 0]], np.int8), np.array([[0, 0]], np.int8)]
+    verdicts = []
+    for S in sets:
+        if pairs_per_block is not None:
+            monkeypatch.setattr(axioms, "C3_CHUNK", pairs_per_block * (len(S) + 2 * S.shape[1]))
+        verdicts.append(assert_same(S))
+    assert verdicts[0] and verdicts[1] and not verdicts[2]
+    assert any(verdicts[3:-3]) and not all(verdicts[3:-3])
+    assert all(verdicts[-3:])
+
+
 @PROPS
 @given(sign_matrices(max_rows=10, max_width=12), st.booleans())
 def test_small_sign_matrices(M, close):
@@ -226,15 +284,20 @@ def test_small_sign_matrices(M, close):
 # ------------------------------------------- both paths of check_cocircuit_axioms
 
 
-def assert_both_paths(M, loop_c3=False):
+def assert_both_paths(M, loop_c3=False, uniform_corpus=True):
     """check_cocircuit_axioms on both paths against the loops for C0 to C2,
     then the int8 uniform oracle, and the pair loop (loop_c3) or the packed
-    C3 fed by its own int8 comparison for the general path."""
+    C3 fed by its own int8 comparison for the general path.  On a corpus
+    set whose rows all have one zero count and that passes C0 to C2, the
+    two paths must also agree on the verdict."""
     first = reference_c0_c2(M)
     uniform = reference_c3_uniform(M) if first else first
     general = (reference_c3(M) if loop_c3 else packed_c3(M)) if first else first
     assert pm.check_cocircuit_axioms(M, uniform=True) == uniform, M.tolist()
     assert pm.check_cocircuit_axioms(M, uniform=False) == general, M.tolist()
+    zeros = (M == 0).sum(1)
+    if uniform_corpus and first and (zeros == zeros[0]).all():
+        assert uniform.passed == general.passed, M.tolist()
     return uniform.axiom or "PASS", general.axiom or "PASS"
 
 
@@ -297,5 +360,7 @@ def test_both_paths_on_random_small_matrices():
         M = M.reshape(m, n)
         if rng.random() < 0.5:
             M = np.vstack([M, -M])
-        verdicts.update(assert_both_paths(M, loop_c3=True))
+        # not a corpus: {X, -X, Y, -Y} with no modular pair passes the
+        # uniform path, which only uniform cocircuit sets may take
+        verdicts.update(assert_both_paths(M, loop_c3=True, uniform_corpus=False))
     assert set(verdicts) == {"PASS", "C0", "C1", "C2", "C3"}

@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import polyom as pm
 from polyom.cli import main
-from test_c3_reference import reference_check_uniform
+from test_c3_reference import benchmark_grid_maps, reference_check, reference_check_uniform
 from test_cocircuit_reference import reference_cocircuit_vectors, reference_scan
 
 CUBIC = "0 0\n1 1\n2 8\n3 27\n"
@@ -63,23 +64,52 @@ def six_two_maps_and_flips():
             yield rec[:i] + "-+"[rec[i] == "-"] + rec[i + 1 :]
 
 
+def assert_check_output(path, chi, deg, coc):
+    """`polyom check` and `check --json` on chi print deg and coc and exit
+    1 when either fails."""
+    code = 0 if deg and coc else 1
+    path.write_text(pm.to_text(chi))
+    result = invoke(["check", str(path)])
+    assert (result.exit_code, result.stdout) == (
+        code, f"degree_k: {deg.text()}\ncocircuits: {coc.text()}\n"
+    ), chi.sign_string()
+    result = invoke(["check", str(path), "--json"])
+    assert (result.exit_code, result.stdout) == (
+        code, '{"degree_k": ' + deg.to_json() + ', "cocircuits": ' + coc.to_json() + "}\n"
+    ), chi.sign_string()
+
+
 def test_check_output_matches_reference(tmp_path):
-    path = tmp_path / "chi.txt"
+    """Uniform maps take the uniform C3 path, which must reach the
+    general path's verdict."""
     for rec in six_two_maps_and_flips():
         chi = pm.Chirotope(6, 2, pm.signs_from_string(rec))
         assert chi.is_uniform()
-        deg = pm.check_degree_k(chi)
-        coc = reference_check_uniform(reference_cocircuit_vectors(chi))
-        code = 0 if deg and coc else 1
-        path.write_text(pm.to_text(chi))
-        result = invoke(["check", str(path)])
-        assert (result.exit_code, result.stdout) == (
-            code, f"degree_k: {deg.text()}\ncocircuits: {coc.text()}\n"
-        ), rec
-        result = invoke(["check", str(path), "--json"])
-        assert (result.exit_code, result.stdout) == (
-            code, '{"degree_k": ' + deg.to_json() + ', "cocircuits": ' + coc.to_json() + "}\n"
-        ), rec
+        vectors = reference_cocircuit_vectors(chi)
+        coc = reference_check_uniform(vectors)
+        assert coc.passed == pm.check_cocircuit_axioms(vectors).passed, rec
+        assert_check_output(tmp_path / "chi.txt", chi, pm.check_degree_k(chi), coc)
+
+
+def test_check_general_path_matches_reference(tmp_path):
+    """Maps with zero signs take the general C3 path: grid maps with one
+    and two zero signs, and each with one more sign set to 0 or one
+    sign flipped."""
+    maps = benchmark_grid_maps(5, 6, 2, (2, 2)) + benchmark_grid_maps(5, 7, 2, (1, 1))
+    verdicts = set()
+    for grid in maps:
+        changed = []
+        for i in np.flatnonzero(grid.signs):
+            for v in (0, -1):
+                changed.append(grid.signs.copy())
+                changed[-1][i] *= v
+        for signs in [grid.signs] + changed:
+            chi = pm.Chirotope(grid.n, grid.k, signs)
+            assert not chi.is_uniform()
+            deg, coc = pm.check_degree_k(chi), reference_check(reference_cocircuit_vectors(chi))
+            assert_check_output(tmp_path / "chi.txt", chi, deg, coc)
+            verdicts.add((bool(deg), coc.axiom or "PASS"))
+    assert {(True, "PASS"), (False, "C2"), (False, "C3")} <= verdicts
 
 
 def test_check_failure_exits_one(tmp_path):
