@@ -2,13 +2,14 @@
 
 Every check returns an AxiomReport.  Failures carry the lexicographically
 first witness: checks scan pairs and windows in lex order, so reruns
-produce identical reports.
+produce identical reports; for C3, among the pairs that its path checks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -220,35 +221,30 @@ def _outside(PX, PY, NX, NY):
     return ~(PX | PY), ~(NX | NY)
 
 
-def _c3_uniform_batch(M, P, N, eq):
-    """Vectorized elimination check for pairs with |X^0 \\ Y^0| = 1.
+def _c3_modular(M, keep, modular):
+    """Weak elimination on a complete set, through its modular pairs.
 
-    Runs on the rows whose first equal row (eq) is themselves.  Once C2
-    has passed, distinct rows sharing a zero set are a single X, -X
-    pair, so at most two candidates per zero set need a look; zero sets
-    are looked up by their packed words, and a candidate must pass the
-    clash test of `_outside`.  In a uniform set these are the modular
-    pairs, and the only vectors that can eliminate them, so the verdict
-    is weak elimination's (BLVSZ 1993, 3.6).  P and N are the packed +
-    and - words of M.  Witnesses index rows of the input.
+    keep lists the first row of each distinct vector, and modular marks
+    the kept pairs whose zero sets differ in one element.  The supports
+    of a complete set are the cocircuits of a uniform matroid, so
+    elimination on its modular pairs is weak elimination (BLVSZ 1993,
+    3.6).  The eliminant of a modular pair separated at e vanishes on
+    X^0 & Y^0 and e: that zero set holds exactly two rows, found by
+    their packed words, and one must pass the clash test of `_outside`.
+    Witnesses index rows of the input.
     """
-    keep = np.flatnonzero(eq.argmax(1) == np.arange(len(eq)))
-    M, P, N = M[keep], P[keep], N[keep]
-    m, n = M.shape
-    Z = _pack(M == 0)
-    I, J = np.divmod(np.flatnonzero(np.bitwise_count(Z[:, None] & ~Z).sum(2) == 1), m)
+    M = M[keep]
+    n = M.shape[1]
+    P, N, Z = _pack(M == 1), _pack(M == -1), _pack(M == 0)
+    I, J = np.divmod(np.flatnonzero(modular), len(keep))
     T, E = np.divmod(np.flatnonzero(_bits((P[I] & N[J]) | (N[I] & P[J]), n)), n)
     I, J = I[T], J[T]
     zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | _pack(np.eye(n, dtype=bool))[E])
     order = np.argsort(zkeys, kind="stable")
-    zs = zkeys[order]
-    # the two candidates of each triple: the first row with its zero set and the next
-    pos = np.searchsorted(zs, want, side="left") + np.arange(2)[:, None]
-    at = np.minimum(pos, m - 1)
-    R = order[at]
+    # the two rows of each wanted zero set: the first in sorted order and the next
+    R = order[np.searchsorted(zkeys[order], want) + np.arange(2)[:, None]]
     not_p, not_n = _outside(P[I], P[J], N[I], N[J])
-    clash = ((P[R] & not_p) | (N[R] & not_n)).any(2)
-    ok = ((pos < m) & (zs[at] == want) & ~clash).any(0)
+    ok = ~((P[R] & not_p) | (N[R] & not_n)).any(2).all(0)
     if ok.all():
         return _PASS
     t = int(np.argmax(~ok))
@@ -312,7 +308,7 @@ def _c3_general(M, neq):
     return _PASS
 
 
-def check_cocircuit_axioms(vectors, uniform=False):
+def check_cocircuit_axioms(vectors, uniform=None):
     """C0 through C3 for a finite set of sign vectors.
 
     C0: the zero vector is absent.  C1: closed under negation.  C2: a
@@ -325,15 +321,16 @@ def check_cocircuit_axioms(vectors, uniform=False):
     equal supports and sep == 0.  The entries count at most n terms, so
     float64 holds them exactly.
 
-    C3: elimination; with uniform set, only pairs whose zero sets differ
-    by one element are examined (the pairs that carry the axiom for
-    uniform sets) through a lookup on packed sign words, else weak
-    elimination over all pairs i < j as blocked count products
-    (`_c3_general`).  Both paths test a candidate eliminant with
-    `_outside`, and on the cocircuit sets of uniform sign maps they give
-    the same verdict; the witness may differ.  Witnesses index rows of
-    the input.  Entries outside {-1, 0, 1} and ragged rows raise
-    InputError.
+    C3: weak elimination, on a path read off the vectors.  The set is
+    complete when its distinct rows share one support size s and number
+    2 * C(n, s); after C1 and C2 every (n - s)-subset is then the zero
+    set of one X, -X pair.  Complete sets are checked on their modular
+    pairs, inter == s - 1, by a zero-set lookup (`_c3_modular`), others
+    on all pairs i < j by blocked count products (`_c3_general`).  Both
+    give weak elimination's verdict, with the lex-first failing pair of
+    the path as witness.  Witnesses index rows of the input.  uniform is
+    accepted and ignored.  Entries outside {-1, 0, 1} and ragged rows
+    raise InputError.
     """
     M = _as_matrix(vectors)
     if len(M) == 0:
@@ -357,8 +354,11 @@ def check_cocircuit_axioms(vectors, uniform=False):
     if bad.any():
         i, j = np.argwhere(bad)[0]
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
-    if uniform:
-        return _c3_uniform_batch(M, _pack(M == 1), _pack(M == -1), eq)
+    s = int(size[0])
+    if (size == s).all():
+        keep = np.flatnonzero(eq.argmax(1) == np.arange(len(eq)))
+        if len(keep) == 2 * comb(M.shape[1], s):
+            return _c3_modular(M, keep, inter.take(keep, 0).take(keep, 1) == s - 1)
     return _c3_general(M, neq)
 
 

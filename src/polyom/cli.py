@@ -67,7 +67,7 @@ def check(chirotope_file, as_json):
     chi = from_text(chirotope_file.read())
     rep = check_degree_k(chi)
     vectors = cocircuit_vectors(chi)
-    coc = check_cocircuit_axioms(vectors, uniform=chi.is_uniform())
+    coc = check_cocircuit_axioms(vectors)
     if as_json:
         click.echo(
             '{"degree_k": ' + rep.to_json() + ', "cocircuits": ' + coc.to_json() + "}"

@@ -78,7 +78,7 @@ def soundness_suite():
             if not pm.check_degree_k(chi).passed:
                 failures.append((n, k, seed, "degree_k"))
             vecs = pm.cocircuit_vectors(chi)
-            if not pm.check_cocircuit_axioms(vecs, uniform=True).passed:
+            if not pm.check_cocircuit_axioms(vecs).passed:
                 failures.append((n, k, seed, "cocircuits"))
             if not pm.is_acyclic(vecs):
                 failures.append((n, k, seed, "acyclic"))

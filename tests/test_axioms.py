@@ -8,6 +8,7 @@ import pytest
 import polyom as pm
 from polyom.chirotope import Chirotope, signs_from_string, window_signs
 from polyom.combinat import window_index
+from test_c3_reference import complete, packed_c3, reference_check_uniform
 
 
 def member(n, k, idx):
@@ -185,17 +186,14 @@ def test_report_serialization():
 def test_cocircuit_axioms_pass_both_paths():
     chi = pm.chirotope_of(pm.random_config(7, 2, seed=17), 2)
     vecs = pm.cocircuit_vectors(chi)
-    assert pm.check_cocircuit_axioms(vecs, uniform=True).passed
-    assert pm.check_cocircuit_axioms(vecs, uniform=False).passed
+    assert pm.check_cocircuit_axioms(vecs).passed
+    assert packed_c3(vecs).passed
 
 
 def test_cocircuit_axioms_negated_set_same_verdict():
     chi = pm.chirotope_of(pm.random_config(6, 3, seed=2), 3)
     vecs = pm.cocircuit_vectors(chi)
-    assert (
-        pm.check_cocircuit_axioms(vecs, uniform=True).passed
-        == pm.check_cocircuit_axioms(-vecs, uniform=True).passed
-    )
+    assert pm.check_cocircuit_axioms(vecs).passed == pm.check_cocircuit_axioms(-vecs).passed
 
 
 def test_cocircuit_C0_C1_C2_failures():
@@ -224,9 +222,9 @@ def test_cocircuit_C3_failure_when_pair_removed():
         ],
         np.int8,
     )
-    for flag in (True, False):
-        rep = pm.check_cocircuit_axioms(kept, uniform=flag)
-        assert not rep.passed and rep.axiom == "C3"
+    rep = pm.check_cocircuit_axioms(kept)
+    assert not rep.passed and rep.axiom == "C3"
+    assert rep == packed_c3(kept)
 
 
 def test_uniform_C3_duplicated_rows_same_verdict_and_witness():
@@ -244,11 +242,11 @@ def test_uniform_C3_duplicated_rows_same_verdict_and_witness():
     )
     reports = []
     for base in (vecs, kept):
-        plain = pm.check_cocircuit_axioms(base, uniform=True)
+        plain = pm.check_cocircuit_axioms(base)
         appended = np.vstack([base, base[::3], base[:2]])
-        assert pm.check_cocircuit_axioms(appended, uniform=True) == plain
+        assert pm.check_cocircuit_axioms(appended) == plain
         # every row twice in a row: row i of base first occurs at 2i
-        repeated = pm.check_cocircuit_axioms(np.repeat(base, 2, axis=0), uniform=True)
+        repeated = pm.check_cocircuit_axioms(np.repeat(base, 2, axis=0))
         assert repeated.passed == plain.passed and repeated.axiom == plain.axiom
         if plain.witness:
             i, j, e = plain.witness
@@ -261,7 +259,7 @@ def test_uniform_C3_duplicated_rows_same_verdict_and_witness():
 def test_cocircuit_weak_elimination_failure_constructed():
     # rows disagree at the first column but nothing vanishes there
     bad = np.array([[1, 1, 0], [-1, -1, 0], [1, 0, -1], [-1, 0, 1]], np.int8)
-    rep = pm.check_cocircuit_axioms(bad, uniform=False)
+    rep = pm.check_cocircuit_axioms(bad)
     assert not rep.passed and rep.axiom == "C3"
     assert rep.witness[2] == 1
 
@@ -270,8 +268,7 @@ def test_single_antipodal_pair_passes_vacuously():
     x = np.zeros(6, np.int8)
     x[5] = 1
     pair = np.vstack([x, -x])
-    assert pm.check_cocircuit_axioms(pair, uniform=True).passed
-    assert pm.check_cocircuit_axioms(pair, uniform=False).passed
+    assert pm.check_cocircuit_axioms(pair).passed
 
 
 def test_empty_vector_set_passes():
@@ -298,15 +295,38 @@ def test_empty_vectors_are_zero_vectors():
     ],
 )
 def test_cocircuit_axioms_input_faults(vectors, message):
-    for uniform in (True, False):
-        with pytest.raises(pm.InputError) as err:
-            pm.check_cocircuit_axioms(vectors, uniform=uniform)
-        assert str(err.value) == message
+    with pytest.raises(pm.InputError) as err:
+        pm.check_cocircuit_axioms(vectors)
+    assert str(err.value) == message
     with pytest.raises(pm.InputError):
         pm.is_acyclic(vectors)
 
 
 def test_zero_set_keys_exact_beyond_one_word():
+    # rank 2 on n points of a line: the pair with zero set {a} is
+    # X(e) = sign(x_e - x_a).  These sets are complete, so they take the
+    # zero-set lookup, whose keys reach the second 63-bit word
+    rng = random.Random(70)
+    failed = []
+    for n in (63, 64, 70):
+        xs = np.array(rng.sample(range(n), n))
+        line = np.sign(xs[None, :] - xs[:, None]).astype(np.int8)
+        line = np.vstack([line, -line])
+        for _ in range(2):
+            M = line.copy()
+            a, e = rng.sample(range(n - 8, n), 2)
+            M[[a, a + n], e] *= -1  # one X, -X pair flipped at e
+            M = M[rng.sample(range(2 * n), 2 * n)]
+            assert complete(M)
+            rep = pm.check_cocircuit_axioms(M)
+            assert rep == reference_check_uniform(M)
+            assert rep.passed == packed_c3(M).passed
+            if not rep:
+                failed.append(rep.witness[2])
+    assert len(failed) == 6 and max(failed) > 63, failed
+
+
+def test_general_path_keys_beyond_one_word():
     # a uniform (7,2) set padded to 70 columns, then rotated so that its
     # columns reach the second 63-bit word; no element wraps around, so a
     # witness moves with the rotation
@@ -314,16 +334,15 @@ def test_zero_set_keys_exact_beyond_one_word():
     head = vecs[0]
     kept = vecs[~((vecs == head).all(1) | (vecs == -head).all(1))]
     for base in (vecs, kept):
-        plain = {flag: pm.check_cocircuit_axioms(base, uniform=flag) for flag in (True, False)}
+        plain = pm.check_cocircuit_axioms(base)
         for shift in (0, 30, 57, 60, 63):
             wide = np.roll(np.pad(base, ((0, 0), (0, 63))), shift, axis=1)
-            for flag, want in plain.items():
-                rep = pm.check_cocircuit_axioms(wide, uniform=flag)
-                assert (rep.passed, rep.axiom) == (want.passed, want.axiom), (shift, flag)
-                if want.witness:
-                    i, j, e = want.witness
-                    assert rep.witness == (i, j, e + shift)
-    assert plain[True].axiom == plain[False].axiom == "C3"
+            rep = pm.check_cocircuit_axioms(wide)
+            assert (rep.passed, rep.axiom) == (plain.passed, plain.axiom), shift
+            if plain.witness:
+                i, j, e = plain.witness
+                assert rep.witness == (i, j, e + shift)
+    assert plain.axiom == "C3"
 
 
 def test_cocircuit_axioms_exhaustive_on_catalogs():
@@ -333,7 +352,7 @@ def test_cocircuit_axioms_exhaustive_on_catalogs():
             for chi in pm.enumerate_chirotopes(n, k).chirotopes():
                 vecs = pm.cocircuit_vectors(chi)
                 assert ((vecs == 0).sum(axis=1) == k + 1).all()
-                assert pm.check_cocircuit_axioms(vecs, uniform=True).passed, (n, k)
+                assert pm.check_cocircuit_axioms(vecs).passed, (n, k)
 
 
 def test_cocircuit_sets_injective_small():

@@ -32,3 +32,22 @@ def test_benchmark_workloads_import_and_resolve():
         assert callable(clear)
     for obj in (workloads.Chirotope.reorient, workloads.is_acyclic, workloads.signs_from_string):
         assert callable(obj)
+
+
+def test_cocircuit_axioms_ignores_uniform_keyword():
+    """The census workload still passes uniform=True and uniform=False;
+    the C3 path is read off the vectors, so the keyword changes nothing."""
+    rec = pm.enumerate_chirotopes(6, 2).strings()[1]
+    vectors = pm.cocircuit_vectors(pm.Chirotope(6, 2, pm.signs_from_string(rec)))
+    grid = pm.chirotope_of(pm.PointConfig([(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 3)]), 2)
+    pair = (vectors == vectors[0]).all(1) | (vectors == -vectors[0]).all(1)
+    flipped = vectors.copy()
+    flipped[pair, 1] *= -1
+    sets = [vectors, flipped, vectors[~pair], pm.cocircuit_vectors(grid)]
+    verdicts = set()
+    for M in sets:
+        want = pm.check_cocircuit_axioms(M)
+        assert pm.check_cocircuit_axioms(M, uniform=True) == want
+        assert pm.check_cocircuit_axioms(M, uniform=False) == want
+        verdicts.add(want.axiom or "PASS")
+    assert verdicts == {"PASS", "C3"}

@@ -3,15 +3,17 @@
 The oracles are the straightforward loops: C0 to C2 over rows and
 ordered pairs, weak elimination (C3) over ordered pairs (X, Y) one pair
 at a time with the same lex-first witness (i, j, e), and for the
-uniform path an int8 batch check of the pairs whose zero sets differ by
-one element, which pins its witnesses.  The array code must give the
-same AxiomReport on real cocircuit sets, on their corruptions, and on
-synthetic sets wider than one 63-bit word; on uniform sets both paths
-must give the pair loop's verdict.
+zero-set lookup that complete sets take an int8 batch check of the
+pairs whose zero sets differ by one element, which pins its witnesses.
+The array code must give the same AxiomReport on real cocircuit sets,
+on their corruptions, and on synthetic sets wider than one 63-bit word;
+on complete sets the lookup must give the pair loop's verdict.
 """
 
+import itertools
 import random
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -72,13 +74,13 @@ def reference_c0_c2(M):
 
 
 def reference_check(M):
-    """check_cocircuit_axioms(uniform=False) as loops: C0, C1, C2, then the oracle."""
+    """The general path as loops: C0, C1, C2, then the pair loop."""
     first = reference_c0_c2(M)
     return reference_c3(M) if first else first
 
 
 def reference_c3_uniform(M):
-    """The uniform elimination check on int8 rows: distinct rows by
+    """The zero-set lookup on int8 rows: distinct rows by
     np.unique, |X^0 \\ Y^0| by an int32 product, separating elements from
     an (m, m, n) product, and per-triple gathers of the candidate rows,
     which may carry + only where X or Y does and - only where X or Y
@@ -121,9 +123,18 @@ def reference_c3_uniform(M):
 
 
 def reference_check_uniform(M):
-    """check_cocircuit_axioms(uniform=True): the loops for C0 to C2, then the int8 oracle."""
+    """The lookup path: the loops for C0 to C2, then the int8 oracle."""
     first = reference_c0_c2(M)
     return reference_c3_uniform(M) if first else first
+
+
+def complete(M):
+    """The distinct rows share one support size s and number 2 * C(n, n - s):
+    the sets that take the zero-set lookup."""
+    rows = {tuple(row) for row in M.tolist()}
+    sizes = {sum(v != 0 for v in row) for row in rows}
+    n = M.shape[1]
+    return len(sizes) == 1 and len(rows) == 2 * comb(n, n - sizes.pop())
 
 
 def packed_c3(M):
@@ -277,28 +288,24 @@ def test_small_sign_matrices(M, close):
     if close:
         M = np.vstack([M, -M])
     assert_same(M)
-    assert pm.check_cocircuit_axioms(M) == reference_check(M)
-    assert pm.check_cocircuit_axioms(M, uniform=True) == reference_check_uniform(M)
+    assert_both_paths(M, loop_c3=True)
 
 
 # ------------------------------------------- both paths of check_cocircuit_axioms
 
 
-def assert_both_paths(M, loop_c3=False, uniform_corpus=True):
-    """check_cocircuit_axioms on both paths against the loops for C0 to C2,
-    then the int8 uniform oracle, and the pair loop (loop_c3) or the packed
-    C3 fed by its own int8 comparison for the general path.  On a corpus
-    set whose rows all have one zero count and that passes C0 to C2, the
-    two paths must also agree on the verdict."""
+def assert_both_paths(M, loop_c3=False):
+    """check_cocircuit_axioms against the loops for C0 to C2, then the
+    oracle of the path M selects: the int8 lookup oracle on a complete
+    set, else the pair loop (loop_c3) or the packed C3 fed by its own
+    int8 comparison.  The selected path's verdict must also be weak
+    elimination's, so on complete sets the lookup must agree with it."""
     first = reference_c0_c2(M)
-    uniform = reference_c3_uniform(M) if first else first
     general = (reference_c3(M) if loop_c3 else packed_c3(M)) if first else first
-    assert pm.check_cocircuit_axioms(M, uniform=True) == uniform, M.tolist()
-    assert pm.check_cocircuit_axioms(M, uniform=False) == general, M.tolist()
-    zeros = (M == 0).sum(1)
-    if uniform_corpus and first and (zeros == zeros[0]).all():
-        assert uniform.passed == general.passed, M.tolist()
-    return uniform.axiom or "PASS", general.axiom or "PASS"
+    want = reference_c3_uniform(M) if first and complete(M) else general
+    assert pm.check_cocircuit_axioms(M) == want, M.tolist()
+    assert want.passed == general.passed, M.tolist()
+    return want.axiom or "PASS"
 
 
 def variants(M, rng):
@@ -335,7 +342,7 @@ def test_both_paths_on_catalog_records_and_variants(n, k):
     verdicts = Counter()
     for chi in list(pm.enumerate_chirotopes(n, k).chirotopes())[:: CATALOG_CORPUS[n, k]]:
         for M in variants(np.array(pm.cocircuit_vectors(chi)), rng):
-            verdicts.update(assert_both_paths(M))
+            verdicts[assert_both_paths(M)] += 1
     assert verdicts["PASS"] and verdicts["C1"] and verdicts["C3"]
 
 
@@ -347,7 +354,7 @@ def test_both_paths_on_widened_sets():
     for width in (63, 64, 70, 127, 130):
         for M in base:
             for V in variants(widened(M, width, rng), rng):
-                verdicts.update(assert_both_paths(V))
+                verdicts[assert_both_paths(V)] += 1
     assert verdicts["PASS"] and verdicts["C1"] and verdicts["C3"]
 
 
@@ -360,7 +367,103 @@ def test_both_paths_on_random_small_matrices():
         M = M.reshape(m, n)
         if rng.random() < 0.5:
             M = np.vstack([M, -M])
-        # not a corpus: {X, -X, Y, -Y} with no modular pair passes the
-        # uniform path, which only uniform cocircuit sets may take
-        verdicts.update(assert_both_paths(M, loop_c3=True, uniform_corpus=False))
+        verdicts[assert_both_paths(M, loop_c3=True)] += 1
     assert set(verdicts) == {"PASS", "C0", "C1", "C2", "C3"}
+
+
+# ------------------------------------------------ the C3 path the input selects
+
+
+@pytest.fixture
+def c3_paths(monkeypatch):
+    """The names of the C3 functions check_cocircuit_axioms calls, in order."""
+    taken = []
+    for name in ("_c3_modular", "_c3_general"):
+        def spy(*args, _f=getattr(axioms, name), _name=name):
+            taken.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(axioms, name, spy)
+    return taken
+
+
+def test_two_pairs_with_distant_zero_sets_fail_c3(c3_paths):
+    """{X, -X, Y, -Y} whose zero sets differ in two elements: X and Y
+    separate at element 3 and nothing vanishes there.  No pair is
+    modular, so a lookup would pass it; the set is not complete and
+    takes weak elimination."""
+    X, Y = [0, 0, 1, 1, 1], [1, 1, -1, 0, 0]
+    M = np.array([X, [-v for v in X], Y, [-v for v in Y]], np.int8)
+    want = reference_c3(M)
+    assert want == AxiomReport(False, "C3", (0, 2, 3), "no eliminating vector for this pair")
+    assert pm.check_cocircuit_axioms(M) == want
+    assert c3_paths == ["_c3_general"]
+
+
+def test_count_alone_does_not_make_a_set_complete(c3_paths):
+    """Supports of sizes 1, 2, 2 and 2 on four elements: 2 * C(4, 1)
+    distinct rows, as many as a complete set with s = 1 has.  The sizes
+    differ, so the set takes weak elimination, which rejects it; the
+    lookup, finding no separating modular pair, would pass it."""
+    rows = [[1, 0, 0, 0], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
+    M = np.array(rows + [[-v for v in row] for row in rows], np.int8)
+    want = assert_same(M)
+    assert not want.passed
+    assert pm.check_cocircuit_axioms(M) == want
+    assert c3_paths == ["_c3_general"]
+
+
+def random_complete_set(rng, n, z):
+    """One X, -X pair on each z-subset of [n] as zero set, sometimes
+    shuffled, sometimes with duplicate rows.  The signs are random, or
+    (half the time) those of n integer vectors in general position in
+    rank z + 1, X(e) = sign det(v_A, v_e), with one X, -X pair then
+    flipped at one element half of those times."""
+    r = z + 1
+    vs = None
+    while rng.random() < 0.5 and vs is None:
+        vs = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        if not all(pm.det_sign([vs[e] for e in t]) for t in itertools.combinations(range(n), r)):
+            vs = None
+    rows = []
+    for zs in itertools.combinations(range(n), z):
+        if vs is None:
+            x = [0 if e in zs else rng.choice((-1, 1)) for e in range(n)]
+        else:
+            x = [pm.det_sign([vs[a] for a in zs] + [vs[e]]) for e in range(n)]
+        rows += [x, [-v for v in x]]
+    if vs is not None and rng.random() < 0.5:
+        i = 2 * rng.randrange(len(rows) // 2)
+        e = rng.choice([e for e in range(n) if rows[i][e]])
+        rows[i][e], rows[i + 1][e] = -rows[i][e], -rows[i + 1][e]
+    if rng.random() < 0.3:
+        rows += [rng.choice(rows) for _ in range(rng.randrange(1, 4))]
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    return np.array(rows, np.int8)
+
+
+def test_complete_sets_take_the_lookup_with_weak_elimination_verdict(c3_paths):
+    """The selection rests on BLVSZ 1993, 3.6: on a complete set,
+    elimination on the modular pairs is weak elimination.  Without one
+    of its pairs the set is not complete and takes the general path."""
+    rng = random.Random(12)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        z = rng.randrange(n)
+        M = random_complete_set(rng, n, z)
+        assert complete(M)
+        c3_paths.clear()
+        rep = pm.check_cocircuit_axioms(M)
+        assert c3_paths == ["_c3_modular"]
+        assert rep == reference_check_uniform(M), M.tolist()
+        assert rep.passed == reference_c3(M).passed, M.tolist()
+        # z = 0 and z = n - 1 have no separating modular pair
+        verdicts[rep.axiom or "PASS", 0 < z < n - 1] += 1
+        short = without_pair(M, rng.randrange(len(M)))
+        if len(short):
+            c3_paths.clear()
+            assert pm.check_cocircuit_axioms(short) == assert_same(short), short.tolist()
+            assert c3_paths == ["_c3_general"]
+    assert verdicts["PASS", True] and verdicts["C3", True]
+    assert {axiom for axiom, _ in verdicts} == {"PASS", "C3"}

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import polyom as pm
 from polyom.cli import main
-from test_c3_reference import benchmark_grid_maps, reference_check, reference_check_uniform
+from test_c3_reference import benchmark_grid_maps, packed_c3, reference_check, reference_check_uniform
 from test_cocircuit_reference import reference_cocircuit_vectors, reference_scan
 
 CUBIC = "0 0\n1 1\n2 8\n3 27\n"
@@ -80,14 +80,14 @@ def assert_check_output(path, chi, deg, coc):
 
 
 def test_check_output_matches_reference(tmp_path):
-    """Uniform maps take the uniform C3 path, which must reach the
-    general path's verdict."""
+    """Uniform maps have complete cocircuit sets, which take the zero-set
+    lookup; it must reach the general path's verdict."""
     for rec in six_two_maps_and_flips():
         chi = pm.Chirotope(6, 2, pm.signs_from_string(rec))
         assert chi.is_uniform()
         vectors = reference_cocircuit_vectors(chi)
         coc = reference_check_uniform(vectors)
-        assert coc.passed == pm.check_cocircuit_axioms(vectors).passed, rec
+        assert coc.passed == packed_c3(vectors).passed, rec
         assert_check_output(tmp_path / "chi.txt", chi, pm.check_degree_k(chi), coc)
 
 
