@@ -4,13 +4,21 @@ Layout: a header line "n=<n> k=<k> count=<count> sha256=<hex>" followed
 by one record line per object.  A record is the canonical sign string,
 optionally tagged "R <x1> <y1> ... <xn> <yn>" with a realizing
 configuration (rational coordinates) or "U" for not-yet-realized.  The
-digest covers the record lines byte for byte, so any edit below the
-header is detected on read.
+digest covers the record lines byte for byte, line endings included, so
+any edit below the header is detected on read.
+
+Reading costs integer work where it can.  A body whose every line is
+one whitespace-free token is an untagged catalog and is read with one
+split; any other body goes line by line, which is where every error is
+found.  A coordinate token spelled -?[0-9]+ is read with int(); any
+other goes to Fraction(str), which reads p/q, decimals, exponents,
+signs and underscores.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -20,6 +28,7 @@ from .errors import CatalogIntegrityError, InputError
 from .points import PointConfig
 
 _CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporaries
+_INTEGER = re.compile("-?[0-9]+").fullmatch  # coordinates read by int()
 
 
 @dataclass(frozen=True)
@@ -110,28 +119,31 @@ def write_catalog(path, catalog):
 
 
 def parse_catalog(text):
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise InputError("empty catalog file")
+    head, _, body = text.partition("\n")
+    if body and not body.endswith("\n"):
+        body += "\n"  # a missing last newline is read as present
     try:
-        fields = dict(part.split("=", 1) for part in lines[0].split())
+        fields = dict(part.split("=", 1) for part in head.split())
         n = int(fields["n"])
         k = int(fields["k"])
         count = int(fields["count"])
         digest = fields["sha256"]
     except (ValueError, KeyError) as exc:
-        raise InputError(f"malformed catalog header {lines[0]!r}") from exc
-    body_lines = lines[1:]
-    if len(body_lines) != count:
-        raise CatalogIntegrityError(
-            f"header says {count} records, file has {len(body_lines)}"
-        )
-    body = "\n".join(body_lines + [""])
+        raise InputError(f"malformed catalog header {head!r}") from exc
+    lines = body.count("\n")
+    if lines != count:
+        raise CatalogIntegrityError(f"header says {count} records, file has {lines}")
     actual = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
     if actual != digest:
         raise CatalogIntegrityError("catalog checksum mismatch")
+    tokens = body.split()
+    if len(tokens) == count and sum(map(len, tokens)) + count == len(body):
+        # every line is one whitespace-free token: an untagged catalog,
+        # exactly as the loop below would read it
+        return Catalog(n=n, k=k, records=tuple(tokens))
+    body_lines = body.split("\n")[:-1]
     records = []
     witnesses = []
     tagged = None
@@ -159,7 +171,7 @@ def parse_catalog(text):
                     f"line {lineno}: witness needs {2 * n} coordinates, got {len(coords)}"
                 )
             try:
-                vals = [Fraction(c) for c in coords]
+                vals = [Fraction(int(c)) if _INTEGER(c) else Fraction(c) for c in coords]
                 witnesses.append(PointConfig(zip(vals[::2], vals[1::2])))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"line {lineno}: bad witness: {exc}") from exc
@@ -174,7 +186,9 @@ def parse_catalog(text):
 
 
 def read_catalog(path):
-    with open(path, "r", encoding="ascii") as fh:
+    # newline="" reads line endings as they are on disk, so the digest
+    # checks the file's bytes: a CRLF copy of a catalog fails it
+    with open(path, "r", encoding="ascii", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -53,21 +53,26 @@ class PointConfig:
 
     Element e refers to the e-th point in x-order.  Two points sharing an
     x-coordinate are rejected: the degree-k theory needs a strict total
-    order on the first coordinate.
+    order on the first coordinate.  The order is taken on exact integer
+    keys, each x times the common denominator L of the x-values (the
+    scaling `chirotope_of` uses), so sorting compares ints, not
+    Fractions.
     """
 
     __slots__ = ("points", "_chi_cache")
 
     def __init__(self, points):
-        coords = []
-        for p in points:
-            x, y = p
-            coords.append((Fraction(x), Fraction(y)))
-        coords.sort(key=lambda p: p[0])
-        for (x1, _), (x2, _) in zip(coords, coords[1:]):
-            if x1 == x2:
-                raise InputError(f"two points share x = {x1}")
-        self.points = tuple(coords)
+        coords = [
+            (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
+            for x, y in points
+        ]
+        scale = lcm(*(x.denominator for x, _ in coords))
+        keys = [x.numerator * (scale // x.denominator) for x, _ in coords]
+        order = sorted(range(len(coords)), key=keys.__getitem__)
+        for i, j in zip(order, order[1:]):
+            if keys[i] == keys[j]:
+                raise InputError(f"two points share x = {coords[i][0]}")
+        self.points = tuple(coords[i] for i in order)
         self._chi_cache = {}
 
     def __len__(self):

@@ -6,6 +6,7 @@ import pytest
 
 import polyom as pm
 from polyom.catalog import Catalog, format_catalog, from_enumeration, parse_catalog
+from test_points import reference_points
 
 
 def rehash(n, k, body_lines):
@@ -165,6 +166,41 @@ def test_bad_witness_reports_catalog_line():
         assert reason in str(info.value)
 
 
+def test_coordinate_spellings_match_the_loop():
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    spellings = ["+5", "007", "-0", "-", "5_0", "1/2", "2/4", "-3/6", "1.5", "1e3", "0x1",
+                 str(2**63), str(-(2**63) - 1), str(3**90), "-" + "0" * 30 + "9"]
+    for i, token in enumerate(spellings):
+        for at in range(10):
+            coords = ["10", "0", "11", "1", "12", "8", "13", "27", "14", "64"]
+            coords[at] = token
+            lines = [f"{recs[0]} R {' '.join(coords)}", f"{recs[1]} U"]
+            text = rehash(5, 2, lines)
+            assert parsed(parse_catalog, text) == parsed(looped_parse, text), (token, at)
+    # every spelling that reads as an integer lands as that integer
+    text = rehash(5, 2, [f"{recs[0]} R 007 -0 +5 5_0 1e3 -3/6 {2**64} 2/4 -{2**64} 1.5"])
+    (config,) = parse_catalog(text).witnesses
+    assert config.points == (
+        (-(2**64), Fraction(3, 2)), (5, 50), (7, 0), (1000, Fraction(-1, 2)), (2**64, Fraction(1, 2)),
+    )
+
+
+def test_crlf_catalog_fails_the_checksum(tmp_path):
+    cat = from_enumeration(pm.enumerate_chirotopes(5, 2))
+    path = tmp_path / "5_2.cat"
+    pm.write_catalog(path, cat)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    with pytest.raises(pm.CatalogIntegrityError, match="^catalog checksum mismatch$"):
+        pm.read_catalog(path)
+    # a lone CR is not read as a line end either
+    path.write_bytes(data[:-1] + b"\r")
+    with pytest.raises(pm.CatalogIntegrityError):
+        pm.read_catalog(path)
+    path.write_bytes(data)
+    assert pm.read_catalog(path) == cat
+
+
 @pytest.mark.parametrize("n, k", [(10**6, 5), (3000, 2)])
 def test_header_width_no_record_has(n, k):
     # C(10**6, 7) exceeds 2**63 and C(3000, 4) is about 3.4e12 characters:
@@ -244,3 +280,86 @@ def looped_fault(records, n, k):
         if prev >= rec:
             return f"records not strictly increasing: {rec!r} after {prev!r}"
     return None
+
+
+def looped_parse(text):
+    """parse_catalog one line at a time, every coordinate through
+    Fraction(str) and witnesses sorted as Fractions (`reference_points`).
+
+    The witnesses of the returned Catalog are point tuples, not
+    PointConfigs; `parsed` puts both readers' results in one form.
+    """
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise pm.InputError("empty catalog file")
+    try:
+        fields = dict(part.split("=", 1) for part in lines[0].split())
+        n = int(fields["n"])
+        k = int(fields["k"])
+        count = int(fields["count"])
+        digest = fields["sha256"]
+    except (ValueError, KeyError) as exc:
+        raise pm.InputError(f"malformed catalog header {lines[0]!r}") from exc
+    body_lines = lines[1:]
+    if len(body_lines) != count:
+        raise pm.CatalogIntegrityError(
+            f"header says {count} records, file has {len(body_lines)}"
+        )
+    body = "\n".join(body_lines + [""])
+    actual = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
+    if actual != digest:
+        raise pm.CatalogIntegrityError("catalog checksum mismatch")
+    records = []
+    witnesses = []
+    tagged = None
+    for lineno, line in enumerate(body_lines, start=2):
+        parts = line.split()
+        if not parts:
+            raise pm.InputError(f"line {lineno}: empty record")
+        rec = parts[0]
+        rest = parts[1:]
+        if tagged is None:
+            tagged = bool(rest)
+        if bool(rest) != tagged:
+            raise pm.InputError(f"line {lineno}: mixed tagged and untagged records")
+        records.append(rec)
+        if not rest:
+            continue
+        if rest[0] == "U":
+            if len(rest) != 1:
+                raise pm.InputError(f"line {lineno}: trailing data after U")
+            witnesses.append(None)
+        elif rest[0] == "R":
+            coords = rest[1:]
+            if len(coords) != 2 * n:
+                raise pm.InputError(
+                    f"line {lineno}: witness needs {2 * n} coordinates, got {len(coords)}"
+                )
+            try:
+                vals = [Fraction(c) for c in coords]
+                witnesses.append(reference_points(zip(vals[::2], vals[1::2])))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise pm.InputError(f"line {lineno}: bad witness: {exc}") from exc
+        else:
+            raise pm.InputError(f"line {lineno}: unknown tag {rest[0]!r}")
+    return Catalog(
+        n=n,
+        k=k,
+        records=tuple(records),
+        witnesses=tuple(witnesses) if tagged else None,
+    )
+
+
+def parsed(parse, text):
+    """What parse(text) gives, as (n, k, records, witness points), or the
+    exception's type and text."""
+    try:
+        cat = parse(text)
+    except Exception as exc:  # the oracle compares every failure too
+        return type(exc), str(exc)
+    witnesses = cat.witnesses
+    if witnesses is not None:
+        witnesses = tuple(getattr(w, "points", w) for w in witnesses)
+    return cat.n, cat.k, cat.records, witnesses

@@ -175,6 +175,29 @@ def test_realize_command(tmp_path):
     assert pm.verify_catalog_witnesses(tagged) == ()
 
 
+def test_realize_tagged_bytes_are_pinned(tmp_path):
+    # the tagged catalog that `realize --seed 0` writes, byte for byte
+    cat_path = str(tmp_path / "6_2.cat")
+    invoke(["enumerate", "--n", "6", "--k", "2", "--out", cat_path])
+    out = tmp_path / "tagged.cat"
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "300", "--seed", "0",
+                     "--out", str(out)])
+    assert result.exit_code == 0
+    assert result.output == "realizable=59 unknown=15 trials=300 seed=0 total=74\n"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8825b05aa5ed739b0c039a109e88ed26744a11a93c8570124a55ae78e3b35561"
+
+
+def test_realize_on_crlf_catalog_exits_two(tmp_path):
+    cat_path = tmp_path / "c.cat"
+    invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])
+    cat_path.write_bytes(cat_path.read_bytes().replace(b"\n", b"\r\n"))
+    result = invoke(["realize", "--catalog", str(cat_path), "--trials", "5"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: catalog checksum mismatch\n"
+
+
 def test_scan_command(tmp_path):
     cat_path = str(tmp_path / "c.cat")
     invoke(["enumerate", "--n", "5", "--k", "2", "--out", cat_path])

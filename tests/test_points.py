@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyom as pm
 from polyom import points
@@ -182,6 +184,78 @@ def test_point_config_sorts_by_x():
     assert cfg.coords(1) == (1, 2)
     with pytest.raises(pm.InputError):
         cfg.coords(4)
+
+
+def reference_points(points):
+    """The points of PointConfig(points), sorted and tie-checked as
+    Fractions: the constructor before it sorted on integer keys."""
+    coords = []
+    for p in points:
+        x, y = p
+        coords.append((Fraction(x), Fraction(y)))
+    coords.sort(key=lambda p: p[0])
+    for (x1, _), (x2, _) in zip(coords, coords[1:]):
+        if x1 == x2:
+            raise pm.InputError(f"two points share x = {x1}")
+    return tuple(coords)
+
+
+def outcome(build, points):
+    """What build(points) gives: its points, or the exception's type and text."""
+    try:
+        return "points", build(points)
+    except Exception as exc:  # the oracle compares every failure too
+        return type(exc), str(exc)
+
+
+def built(points):
+    return pm.PointConfig(points).points
+
+
+# coordinates of every kind the constructor takes: small ints, so that x
+# repeats, ints beyond 2**63, Fractions of mixed denominators, floats
+# (the non-finite ones included), and equal values spelled as several
+# types
+COORDS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(2**63 - 2, 2**63 + 2).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(-(2**200), 2**200),
+    st.fractions(max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**30),
+    st.floats(width=64),
+    st.sampled_from([Fraction(1, 2), 0.5, 1, 1.0, Fraction(2, 2), -0.0, 0]),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(st.tuples(COORDS, COORDS), max_size=8))
+def test_point_config_matches_fraction_sort(points):
+    got = outcome(built, points)
+    assert got == outcome(reference_points, points)
+    if got[0] == "points":
+        assert all(type(v) is Fraction for p in got[1] for v in p)
+
+
+def test_point_config_integer_keys_on_named_inputs():
+    big = 2**63
+    cases = [
+        [(3, 1), (1, 2), (2, 0)],
+        [(big + 1, 0), (big, 1), (-big, 2), (big - 1, 3)],
+        [(Fraction(1, 3), 0), (Fraction(1, 2), 1), (Fraction(-5, 6), 2), (Fraction(7, 4), 3)],
+        [(0.1, 0), (0.25, 1), (-1.5, 2), (1e-300, 3)],
+        [(1, 0.5), (Fraction(1, 3), 2), (0.75, Fraction(1, 7)), (big * 3, -1)],
+        [(1, 0), (Fraction(2, 2), 1)],
+        [(0.5, 0), (3, 0), (Fraction(1, 2), 1)],
+        [(-0.0, 0), (5, 5), (0, 1)],
+        [(big, 0), (big + 1, 0), (big, 1)],
+        [(2, 0), (1, 0), (2, 1), (1, 1)],
+    ]
+    for points in cases:
+        assert outcome(built, points) == outcome(reference_points, points)
+    with pytest.raises(pm.InputError, match=r"^two points share x = 1$"):
+        pm.PointConfig([(2, 0), (1, 0), (2, 1), (1, 1)])
+    with pytest.raises(pm.InputError, match=r"^two points share x = 1/2$"):
+        pm.PointConfig([(0.5, 0), (3, 0), (Fraction(1, 2), 1)])
 
 
 def test_points_file_roundtrip():

@@ -24,7 +24,7 @@ from polyom.chirotope import (
     records_of,
     sign_chars,
 )
-from test_catalog import looped_fault
+from test_catalog import looped_fault, looped_parse, parsed
 
 PROPS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -183,6 +183,49 @@ RECORDS_5_2 = st.sets(
 ).map(sorted)
 
 
+# coordinate tokens: integers (beyond 2**63 too) and spellings that
+# Fraction(str) reads, or refuses, in its own way
+COORD = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["+5", "007", "-0", "-", "5_0", "1/2", "2/4", "-3/6", "1.5", "1e3", "0x1"]),
+    st.integers(2**63 - 2, 2**66).flatmap(lambda v: st.sampled_from([str(v), str(-v)])),
+)
+
+
+def spellings(v):
+    """Tokens that Fraction(str) reads as the integer v."""
+    sign = "-" if v < 0 else ""
+    return st.sampled_from([str(v), f"{v:+d}", f"{sign}00{abs(v)}", f"{2 * v}/2", f"{v}.0", f"{v}e0"])
+
+
+# five distinct x-values, each spelled one way or another
+DISTINCT_XS = st.lists(st.integers(-(2**70), 2**70), min_size=5, max_size=5, unique=True).flatmap(
+    lambda vs: st.tuples(*map(spellings, vs))
+)
+
+
+@st.composite
+def spelled_catalogs(draw):
+    """(5, 2) catalogs, tagged or not, with coordinates spelled many ways
+    and lines separated, ended and interleaved with odd whitespace."""
+    gap = st.sampled_from([" ", "  ", "\t", "\x1c", " \t"])
+    tail = st.sampled_from(["", "", "", " ", "\t", "\x1c", "\r"])
+    tagged = draw(st.booleans())
+    lines = []
+    for rec in draw(RECORDS_5_2):
+        line = rec
+        if tagged and draw(st.integers(0, 3)):
+            xs = draw(st.one_of(DISTINCT_XS, st.lists(COORD, min_size=5, max_size=5)))
+            ys = draw(st.lists(COORD, min_size=5, max_size=5))
+            line += draw(gap) + "R" + "".join(draw(gap) + c for xy in zip(xs, ys) for c in xy)
+        elif tagged:
+            line += draw(gap) + "U"
+        lines.append(line + draw(tail))
+        if draw(st.integers(0, 24)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    return headed(5, 2, lines)
+
+
 def catalog_texts():
     line = st.one_of(
         st.text(alphabet="+-0", min_size=4, max_size=6),
@@ -200,6 +243,7 @@ def catalog_texts():
             RECORDS_5_2,
             tagged,
         ),
+        spelled_catalogs(),
     )
 
 
@@ -211,6 +255,49 @@ def test_parse_catalog_total(text):
         assert isinstance(cat, Catalog)
         assert all(isinstance(rec, str) for rec in cat.records)
         assert list(cat.records) == sorted(set(cat.records))
+
+
+@settings(PROPS, max_examples=600)
+@given(st.one_of(catalog_texts(), spelled_catalogs(), spelled_catalogs().map(lambda t: t[:-1])))
+def test_parse_catalog_matches_the_loop(text):
+    assert parsed(parse_catalog, text) == parsed(looped_parse, text)
+
+
+def raw_headed(n, k, body):
+    """Catalog bytes whose header matches the raw body bytes."""
+    digest = hashlib.sha256(body).hexdigest()
+    count = body.count(b"\n")
+    return f"n={n} k={k} count={count} sha256={digest}\n".encode() + body
+
+
+def catalog_bytes():
+    """Arbitrary bytes, and bytes near the format: catalog texts in
+    UTF-8, with CRLF line ends, cut short or with one byte changed, and
+    raw bodies under a header whose digest matches them."""
+    texts = catalog_texts().map(lambda t: t.encode("utf-8", errors="surrogatepass"))
+    edited = st.tuples(texts, st.integers(0, 2**16), st.binary(max_size=2)).map(
+        lambda t: t[0][: t[1] % (len(t[0]) + 1)] + t[2] + t[0][t[1] % (len(t[0]) + 1) + 1 :]
+    )
+    return st.one_of(
+        st.binary(),
+        texts,
+        texts.map(lambda b: b.replace(b"\n", b"\r\n")),
+        edited,
+        st.builds(raw_headed, st.integers(3, 6), st.integers(1, 3), st.binary()),
+        st.builds(raw_headed, st.just(5), st.just(2),
+                  st.lists(st.lists(st.sampled_from(b"+-0 \t\r\x0bRU09/"), max_size=12).map(bytes))
+                  .map(lambda lines: b"".join(line + b"\n" for line in lines))),
+    )
+
+
+@PROPS
+@given(catalog_bytes())
+def test_read_catalog_raw_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("raw") / "c.cat"
+    path.write_bytes(data)
+    cat = valid_or_input_error(pm.read_catalog, path)
+    if cat is not None:
+        assert isinstance(cat, Catalog)
 
 
 # ------------------------------------------------------ catalog record checks
