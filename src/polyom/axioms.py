@@ -2,7 +2,7 @@
 
 Every check returns an AxiomReport.  Failures carry the lexicographically
 first witness: checks scan pairs and windows in lex order, so reruns
-produce identical reports; for C3, among the pairs that its path checks.
+produce identical reports; for C3, among the pairs that it checks.
 """
 
 from __future__ import annotations
@@ -197,15 +197,6 @@ def _pack(B):
     return padded.reshape(m, words, _WORD) @ _BITS
 
 
-def _row_keys(words):
-    """One sortable key per row of packed words, equal exactly when the
-    rows are: the word itself, or the row's bytes beyond one word."""
-    w = words.shape[1]
-    if w == 1:
-        return words[:, 0]
-    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * w)))[:, 0]
-
-
 def _bits(words, n):
     """Inverse of `_pack`: (m, W) words as an (m, n) boolean matrix."""
     m, w = words.shape
@@ -213,88 +204,45 @@ def _bits(words, n):
     return bits.reshape(m, w, 64)[:, :, :_WORD].reshape(m, w * _WORD)[:, :n].view(bool)
 
 
-def _outside(PX, PY, NX, NY):
-    """Where an eliminant of X and Y may not carry each sign: the
-    elements outside X+ | Y+ for +, and outside X- | Y- for -.  A vector
-    R is allowed for the pair exactly when R+ and R- miss them.  Takes
-    boolean rows or packed words alike."""
-    return ~(PX | PY), ~(NX | NY)
-
-
-def _c3_modular(M, keep, modular):
-    """Weak elimination on a complete set, through its modular pairs.
-
-    keep lists the first row of each distinct vector, and modular marks
-    the kept pairs whose zero sets differ in one element.  The supports
-    of a complete set are the cocircuits of a uniform matroid, so
-    elimination on its modular pairs is weak elimination (BLVSZ 1993,
-    3.6).  The eliminant of a modular pair separated at e vanishes on
-    X^0 & Y^0 and e: that zero set holds exactly two rows, found by
-    their packed words, and one must pass the clash test of `_outside`.
-    Witnesses index rows of the input.
-    """
-    M = M[keep]
-    n = M.shape[1]
-    P, N, Z = _pack(M == 1), _pack(M == -1), _pack(M == 0)
-    I, J = np.divmod(np.flatnonzero(modular), len(keep))
-    T, E = np.divmod(np.flatnonzero(_bits((P[I] & N[J]) | (N[I] & P[J]), n)), n)
-    I, J = I[T], J[T]
-    zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | _pack(np.eye(n, dtype=bool))[E])
-    order = np.argsort(zkeys, kind="stable")
-    # the two rows of each wanted zero set: the first in sorted order and the next
-    R = order[np.searchsorted(zkeys[order], want) + np.arange(2)[:, None]]
-    not_p, not_n = _outside(P[I], P[J], N[I], N[J])
-    ok = ~((P[R] & not_p) | (N[R] & not_n)).any(2).all(0)
-    if ok.all():
-        return _PASS
-    t = int(np.argmax(~ok))
-    return AxiomReport(
-        False,
-        "C3",
-        (int(keep[I[t]]), int(keep[J[t]]), int(E[t]) + 1),
-        "no eliminating vector for this pair",
-    )
-
-
 # Array elements per block of the pairwise C3 pass: bounds its
 # (pairs, m) and (pairs, 2n) arrays.
 C3_CHUNK = 1 << 17
 
 
-def _c3_general(M, neq):
-    """Weak elimination over all pairs, pairs X = -Y exempt.
+def _c3_general(M, pairs):
+    """Weak elimination on the pairs of rows that pairs marks.
 
     Where X and Y disagree, some vector of the set must vanish there
     while drawing every one of its signs from X or Y.  No constraint is
     put on the rest of its zero set: demanding one (as the exact
     near-pair form does) is unsatisfiable for pairs whose zero sets
-    share too little.
+    share too little.  pairs is a symmetric (m, m) boolean mask; it
+    must leave out the pairs X = -Y, which need no eliminant.
 
-    All pairs with a separating element are checked at once, in blocks
-    of at most C3_CHUNK array elements, as products of 0/1 matrices:
-    the clash counts `_outside(X, Y) @ [P | N]^T` (a row is allowed
-    where its count is 0), then the coverage counts `allowed @ Z`, where
+    The marked pairs are checked at once, in blocks of at most C3_CHUNK
+    array elements, as products of 0/1 matrices: the clash counts
+    [outside X+ | Y+, outside X- | Y-] @ [P | N]^T (a row is allowed
+    where its count is 0), then the coverage counts allowed @ Z, where
     Z marks the zero entries; an element fails where it separates X and
-    Y and no allowed row covers it.  neq[i, j] marks M[j] = -M[i].
+    Y and no allowed row covers it.  Only whether a count is 0 is read,
+    and a float sum of 0/1 terms rounds to 0 exactly when every term is
+    0, in any order and at any precision: float32 decides it exactly.
 
-    Only pairs i < j are formed: clash, coverage and the separating set
-    are symmetric in X and Y, so the failing pairs form a symmetric set
-    and its lex-first ordered pair has i < j.  The witness (i, j, e) is
-    that pair with its lowest uncovered element.
+    Only pairs i < j are formed: clash, coverage, the separating set
+    and the mask are symmetric in X and Y, so the failing pairs form a
+    symmetric set and its lex-first ordered pair has i < j.  The witness
+    (i, j, e) is that pair with its lowest uncovered element.
     """
     m, n = M.shape
     P, N = M == 1, M == -1
-    # Every product entry counts 0/1 terms, at most max(m, 2n) < 2**53 of
-    # them, so float64 (BLAS) holds it exactly: no rounding decides.
-    PN = np.concatenate([P, N], axis=1).T.astype(np.float64)
-    Z = (M == 0).astype(np.float64)
-    sep = P.astype(np.float64) @ PN[n:]
-    sep += sep.T
-    I, J = np.divmod(np.flatnonzero(np.triu((sep > 0) & ~neq, 1)), m)
+    PN = np.ascontiguousarray(np.concatenate([P, N], axis=1).T, dtype=np.float32)
+    Z = (M == 0).astype(np.float32)
+    I, J = np.divmod(np.flatnonzero(np.triu(pairs, 1)), m)
     step = max(1, C3_CHUNK // (m + 2 * n))
     for s in range(0, len(I), step):
         i, j = I[s : s + step], J[s : s + step]
-        allowed = (np.hstack(_outside(P[i], P[j], N[i], N[j])) @ PN) == 0
+        outside = np.hstack([~(P[i] | P[j]), ~(N[i] | N[j])]).astype(np.float32)
+        allowed = ((outside @ PN) == 0).astype(np.float32)
         missing = ((P[i] & N[j]) | (N[i] & P[j])) & ((allowed @ Z) == 0)
         failed = missing.any(1)
         if failed.any():
@@ -321,14 +269,17 @@ def check_cocircuit_axioms(vectors, uniform=None):
     equal supports and sep == 0.  The entries count at most n terms, so
     float64 holds them exactly.
 
-    C3: weak elimination, on a path read off the vectors.  The set is
-    complete when its distinct rows share one support size s and number
-    2 * C(n, s); after C1 and C2 every (n - s)-subset is then the zero
-    set of one X, -X pair.  Complete sets are checked on their modular
-    pairs, inter == s - 1, by a zero-set lookup (`_c3_modular`), others
-    on all pairs i < j by blocked count products (`_c3_general`).  Both
-    give weak elimination's verdict, with the lex-first failing pair of
-    the path as witness.  Witnesses index rows of the input.  uniform is
+    C3: weak elimination (`_c3_general`) on the pairs sep > 0 that are
+    not X, -X.  The set is complete when its distinct rows share one
+    support size s and number 2 * C(n, s); after C1 and C2 every
+    (n - s)-subset is then the zero set of one X, -X pair.  On a
+    complete set the pairs narrow to the modular ones, inter == s - 1:
+    there, elimination on modular pairs is weak elimination (BLVSZ 1993,
+    3.6), and the witness is the one a lookup of the eliminant's zero
+    set gives, since an allowed row that vanishes where a modular pair
+    separates has the zero set X^0 & Y^0 plus that element.  The
+    witness is the lex-first failing pair checked, with its lowest
+    uncovered element.  Witnesses index rows of the input.  uniform is
     accepted and ignored.  Entries outside {-1, 0, 1} and ragged rows
     raise InputError.
     """
@@ -354,12 +305,12 @@ def check_cocircuit_axioms(vectors, uniform=None):
     if bad.any():
         i, j = np.argwhere(bad)[0]
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
+    pairs = (sep > 0) & ~neq
     s = int(size[0])
-    if (size == s).all():
-        keep = np.flatnonzero(eq.argmax(1) == np.arange(len(eq)))
-        if len(keep) == 2 * comb(M.shape[1], s):
-            return _c3_modular(M, keep, inter.take(keep, 0).take(keep, 1) == s - 1)
-    return _c3_general(M, neq)
+    distinct = (eq.argmax(1) == np.arange(len(eq))).sum()
+    if (size == s).all() and distinct == 2 * comb(M.shape[1], s):
+        pairs &= inter == s - 1
+    return _c3_general(M, pairs)
 
 
 def _acyclic_extreme(M, A):

@@ -5,14 +5,16 @@ by one record line per object.  A record is the canonical sign string,
 optionally tagged "R <x1> <y1> ... <xn> <yn>" with a realizing
 configuration (rational coordinates) or "U" for not-yet-realized.  The
 digest covers the record lines byte for byte, line endings included, so
-any edit below the header is detected on read.
+any edit below the header is detected on read, except that a file cut
+before its last newline reads as if it were there.
 
 Reading costs integer work where it can.  A body whose every line is
 one whitespace-free token is an untagged catalog and is read with one
 split; any other body goes line by line, which is where every error is
 found.  A coordinate token spelled -?[0-9]+ is read with int(); any
 other goes to Fraction(str), which reads p/q, decimals, exponents,
-signs and underscores.
+signs and underscores.  An exponent beyond 4300 is refused, as int()
+refuses an integer of more than 4300 digits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .chirotope import ascending, char_signs, leading_signs, record_chars
 from .errors import CatalogIntegrityError, InputError
@@ -29,6 +30,33 @@ from .points import PointConfig
 
 _CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporaries
 _INTEGER = re.compile("-?[0-9]+").fullmatch  # coordinates read by int()
+# The decimal spellings with an exponent that Fraction(str) reads; group 1
+# is the exponent.  Fraction computes 10 ** exponent, so a coordinate whose
+# exponent passes the digit limit that int() puts on an integer token is
+# refused before it can cost unbounded time.
+_EXPONENT = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)"
+).fullmatch
+_MAX_DIGITS = 4300  # Python's default limit on int(str)
+
+
+def _comb_upto(n, j, cap):
+    """comb(n, j) when it is at most cap, else cap + 1, at a cost bounded
+    by cap: comb(n, i) does not fall as i rises to min(j, n - j)."""
+    c = 1
+    for i in range(min(j, n - j)):
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def _fraction(token):
+    """Fraction(token), with an exponent beyond _MAX_DIGITS refused."""
+    exp = _EXPONENT(token)
+    if exp and abs(int(exp[1])) > _MAX_DIGITS:
+        raise ValueError(f"Exceeds the limit ({_MAX_DIGITS} digits) for a coordinate's exponent")
+    return Fraction(token)
 
 
 @dataclass(frozen=True)
@@ -47,7 +75,10 @@ class Catalog:
     def __post_init__(self):
         if self.k < 1 or self.n < self.k + 2:
             raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={self.n} k={self.k}")
-        width, unordered = comb(self.n, self.k + 2), None
+        # comb(n, k + 2) only as far as the first record's length: a record
+        # of another width is bad, and a large n and k must not cost comb
+        first = len(self.records[0]) if self.records else 0
+        width, unordered = _comb_upto(self.n, self.k + 2, first), None
         for lo in range(0, len(self.records), _CHECK_BLOCK):
             # one record of overlap, for the order check
             block = self.records[lo : lo + _CHECK_BLOCK + 1]
@@ -171,7 +202,7 @@ def parse_catalog(text):
                     f"line {lineno}: witness needs {2 * n} coordinates, got {len(coords)}"
                 )
             try:
-                vals = [Fraction(int(c)) if _INTEGER(c) else Fraction(c) for c in coords]
+                vals = [Fraction(int(c)) if _INTEGER(c) else _fraction(c) for c in coords]
                 witnesses.append(PointConfig(zip(vals[::2], vals[1::2])))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"line {lineno}: bad witness: {exc}") from exc

@@ -304,8 +304,9 @@ def test_cocircuit_axioms_input_faults(vectors, message):
 
 def test_zero_set_keys_exact_beyond_one_word():
     # rank 2 on n points of a line: the pair with zero set {a} is
-    # X(e) = sign(x_e - x_a).  These sets are complete, so they take the
-    # zero-set lookup, whose keys reach the second 63-bit word
+    # X(e) = sign(x_e - x_a).  These sets are complete, so C3 checks only
+    # their modular pairs; the oracle's zero-set keys reach the second
+    # 63-bit word
     rng = random.Random(70)
     failed = []
     for n in (63, 64, 70):

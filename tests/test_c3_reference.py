@@ -2,12 +2,13 @@
 
 The oracles are the straightforward loops: C0 to C2 over rows and
 ordered pairs, weak elimination (C3) over ordered pairs (X, Y) one pair
-at a time with the same lex-first witness (i, j, e), and for the
-zero-set lookup that complete sets take an int8 batch check of the
-pairs whose zero sets differ by one element, which pins its witnesses.
-The array code must give the same AxiomReport on real cocircuit sets,
-on their corruptions, and on synthetic sets wider than one 63-bit word;
-on complete sets the lookup must give the pair loop's verdict.
+at a time with the same lex-first witness (i, j, e), and for complete
+sets a zero-set lookup: an int8 batch check of the pairs whose zero sets
+differ by one element, which pins the witnesses of those pairs.  The
+array code must give the same AxiomReport on real cocircuit sets, on
+their corruptions, and on synthetic sets wider than one 63-bit word; on
+complete sets, where it checks only the modular pairs, it must give the
+lookup's report and the pair loop's verdict.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import polyom as pm
 import polyom.axioms as axioms
-from polyom.axioms import AxiomReport, _c3_general, _pack, _row_keys
+from polyom.axioms import AxiomReport, _c3_general, _pack
 from test_properties import PROPS, sign_matrices
 
 _PASS = AxiomReport(True)
@@ -79,6 +80,15 @@ def reference_check(M):
     return reference_c3(M) if first else first
 
 
+def row_keys(words):
+    """One sortable key per row of packed words, equal exactly when the
+    rows are: the word itself, or the row's bytes beyond one word."""
+    w = words.shape[1]
+    if w == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * w)))[:, 0]
+
+
 def reference_c3_uniform(M):
     """The zero-set lookup on int8 rows: distinct rows by
     np.unique, |X^0 \\ Y^0| by an int32 product, separating elements from
@@ -99,7 +109,7 @@ def reference_c3_uniform(M):
     I, J, E = trips[:, 0], trips[:, 1], trips[:, 2]
     Z = _pack(zb)
     unit = _pack(np.eye(n, dtype=bool))
-    zkeys, want = _row_keys(Z), _row_keys((Z[I] & Z[J]) | unit[E])
+    zkeys, want = row_keys(Z), row_keys((Z[I] & Z[J]) | unit[E])
     order = np.argsort(zkeys, kind="stable")
     zs = zkeys[order]
     pos = np.searchsorted(zs, want, side="left")
@@ -130,16 +140,31 @@ def reference_check_uniform(M):
 
 def complete(M):
     """The distinct rows share one support size s and number 2 * C(n, n - s):
-    the sets that take the zero-set lookup."""
+    the sets whose C3 check is narrowed to their modular pairs."""
     rows = {tuple(row) for row in M.tolist()}
     sizes = {sum(v != 0 for v in row) for row in rows}
     n = M.shape[1]
     return len(sizes) == 1 and len(rows) == 2 * comb(n, n - sizes.pop())
 
 
-def packed_c3(M):
+def separating_pairs(M):
+    """The pairs of rows that separate somewhere and are not X, -X, by
+    int8 comparisons: the pairs weak elimination checks."""
     M = np.asarray(M, np.int8)
-    return _c3_general(M, (M[:, None, :] == -M[None, :, :]).all(2))
+    return (M[:, None, :] * M[None, :, :] == -1).any(2) & ~(M[:, None, :] == -M[None, :, :]).all(2)
+
+
+def modular_pairs(M):
+    """The separating pairs whose supports share all but one element of
+    the largest support: on a complete set, its modular pairs."""
+    S = (np.asarray(M) != 0).astype(np.int32)
+    return separating_pairs(M) & (S @ S.T == S.sum(1).max() - 1)
+
+
+def packed_c3(M):
+    """`_c3_general` on every separating pair: weak elimination."""
+    M = np.asarray(M, np.int8)
+    return _c3_general(M, separating_pairs(M))
 
 
 def assert_same(M):
@@ -296,10 +321,10 @@ def test_small_sign_matrices(M, close):
 
 def assert_both_paths(M, loop_c3=False):
     """check_cocircuit_axioms against the loops for C0 to C2, then the
-    oracle of the path M selects: the int8 lookup oracle on a complete
-    set, else the pair loop (loop_c3) or the packed C3 fed by its own
-    int8 comparison.  The selected path's verdict must also be weak
-    elimination's, so on complete sets the lookup must agree with it."""
+    C3 oracle: the int8 lookup oracle on a complete set, else the pair
+    loop (loop_c3) or the packed C3 on every separating pair.  The
+    verdict must also be weak elimination's, so on complete sets the
+    modular pairs must reach it."""
     first = reference_c0_c2(M)
     general = (reference_c3(M) if loop_c3 else packed_c3(M)) if first else first
     want = reference_c3_uniform(M) if first and complete(M) else general
@@ -371,45 +396,52 @@ def test_both_paths_on_random_small_matrices():
     assert set(verdicts) == {"PASS", "C0", "C1", "C2", "C3"}
 
 
-# ------------------------------------------------ the C3 path the input selects
+# ---------------------------------------------- the C3 pairs the input selects
 
 
 @pytest.fixture
-def c3_paths(monkeypatch):
-    """The names of the C3 functions check_cocircuit_axioms calls, in order."""
-    taken = []
-    for name in ("_c3_modular", "_c3_general"):
-        def spy(*args, _f=getattr(axioms, name), _name=name):
-            taken.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(axioms, name, spy)
-    return taken
+def c3_pairs(monkeypatch):
+    """The pair masks that check_cocircuit_axioms hands to `_c3_general`,
+    in order."""
+    masks = []
+
+    def spy(M, pairs, _f=axioms._c3_general):
+        masks.append(np.array(pairs))
+        return _f(M, pairs)
+
+    monkeypatch.setattr(axioms, "_c3_general", spy)
+    return masks
 
 
-def test_two_pairs_with_distant_zero_sets_fail_c3(c3_paths):
+def assert_pairs(masks, want):
+    assert len(masks) == 1 and np.array_equal(masks[0], want)
+
+
+def test_two_pairs_with_distant_zero_sets_fail_c3(c3_pairs):
     """{X, -X, Y, -Y} whose zero sets differ in two elements: X and Y
     separate at element 3 and nothing vanishes there.  No pair is
     modular, so a lookup would pass it; the set is not complete and
-    takes weak elimination."""
+    all its separating pairs are checked."""
     X, Y = [0, 0, 1, 1, 1], [1, 1, -1, 0, 0]
     M = np.array([X, [-v for v in X], Y, [-v for v in Y]], np.int8)
     want = reference_c3(M)
     assert want == AxiomReport(False, "C3", (0, 2, 3), "no eliminating vector for this pair")
     assert pm.check_cocircuit_axioms(M) == want
-    assert c3_paths == ["_c3_general"]
+    assert_pairs(c3_pairs, separating_pairs(M))
 
 
-def test_count_alone_does_not_make_a_set_complete(c3_paths):
+def test_count_alone_does_not_make_a_set_complete(c3_pairs):
     """Supports of sizes 1, 2, 2 and 2 on four elements: 2 * C(4, 1)
     distinct rows, as many as a complete set with s = 1 has.  The sizes
-    differ, so the set takes weak elimination, which rejects it; the
-    lookup, finding no separating modular pair, would pass it."""
+    differ, so all separating pairs are checked, and weak elimination
+    rejects the set; narrowed to pairs sharing s - 1 = 0 elements, none
+    of which separate, it would pass."""
     rows = [[1, 0, 0, 0], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, 1]]
     M = np.array(rows + [[-v for v in row] for row in rows], np.int8)
     want = assert_same(M)
     assert not want.passed
     assert pm.check_cocircuit_axioms(M) == want
-    assert c3_paths == ["_c3_general"]
+    assert_pairs(c3_pairs, separating_pairs(M))
 
 
 def random_complete_set(rng, n, z):
@@ -442,10 +474,13 @@ def random_complete_set(rng, n, z):
     return np.array(rows, np.int8)
 
 
-def test_complete_sets_take_the_lookup_with_weak_elimination_verdict(c3_paths):
-    """The selection rests on BLVSZ 1993, 3.6: on a complete set,
-    elimination on the modular pairs is weak elimination.  Without one
-    of its pairs the set is not complete and takes the general path."""
+def test_complete_sets_take_the_lookup_with_weak_elimination_verdict(c3_pairs):
+    """The narrowing rests on BLVSZ 1993, 3.6: on a complete set,
+    elimination on the modular pairs is weak elimination.  It must give
+    the lookup's report (an allowed row vanishing where a modular pair
+    separates has exactly the zero set the lookup looks up) and the pair
+    loop's verdict.  Without one of its pairs the set is not complete
+    and all its separating pairs are checked."""
     rng = random.Random(12)
     verdicts = Counter()
     for _ in range(300):
@@ -453,17 +488,42 @@ def test_complete_sets_take_the_lookup_with_weak_elimination_verdict(c3_paths):
         z = rng.randrange(n)
         M = random_complete_set(rng, n, z)
         assert complete(M)
-        c3_paths.clear()
+        c3_pairs.clear()
         rep = pm.check_cocircuit_axioms(M)
-        assert c3_paths == ["_c3_modular"]
+        assert_pairs(c3_pairs, modular_pairs(M))
         assert rep == reference_check_uniform(M), M.tolist()
         assert rep.passed == reference_c3(M).passed, M.tolist()
         # z = 0 and z = n - 1 have no separating modular pair
         verdicts[rep.axiom or "PASS", 0 < z < n - 1] += 1
         short = without_pair(M, rng.randrange(len(M)))
         if len(short):
-            c3_paths.clear()
+            c3_pairs.clear()
             assert pm.check_cocircuit_axioms(short) == assert_same(short), short.tolist()
-            assert c3_paths == ["_c3_general"]
+            assert_pairs(c3_pairs, separating_pairs(short))
     assert verdicts["PASS", True] and verdicts["C3", True]
     assert {axiom for axiom, _ in verdicts} == {"PASS", "C3"}
+
+
+def test_wide_rank_two_complete_set(c3_pairs):
+    """Rank 2 on 70 points of a line: 140 rows, every separating pair
+    modular.  The zero-set lookup took about 0.45 s on this set, with
+    one gather per (pair, separating element); the count products take
+    milliseconds.  Unchanged, and with one X, -X pair flipped at an
+    element, it must get the lookup's report."""
+    rng = random.Random(140)
+    n = 70
+    xs = np.array(rng.sample(range(n), n))
+    line = np.sign(xs[None, :] - xs[:, None]).astype(np.int8)
+    line = np.vstack([line, -line])
+    verdicts = []
+    for a, e in [(None, None), (3, 65), (67, 2)]:
+        M = line.copy()
+        if a is not None:
+            M[[a, a + n], e] *= -1
+        assert complete(M) and np.array_equal(modular_pairs(M), separating_pairs(M))
+        c3_pairs.clear()
+        rep = pm.check_cocircuit_axioms(M)
+        assert_pairs(c3_pairs, modular_pairs(M))
+        assert rep == reference_check_uniform(M)
+        verdicts.append(rep.axiom or "PASS")
+    assert verdicts == ["PASS", "C3", "C3"]

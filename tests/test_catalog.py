@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,29 @@ def test_coordinate_spellings_match_the_loop():
     )
 
 
+def test_exponent_beyond_the_digit_limit_is_refused(tmp_path):
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    coords = ["10", "0", "11", "1", "12", "8", "13", "27", "14", "64"]
+    for token, ok in [("1e4300", True), ("-1.5E+4_300", True), ("1e-4300", True),
+                      ("1e4301", False), ("1E-4301", False), (".5e+4_301", False), ("1e999999999", False)]:
+        text = rehash(5, 2, [f"{recs[0]} R {token} {' '.join(coords[1:])}"])
+        if ok:
+            assert (Fraction(token), 0) in parse_catalog(text).witnesses[0].points, token
+        else:
+            with pytest.raises(pm.InputError) as info:
+                parse_catalog(text)
+            assert str(info.value) == "line 2: bad witness: Exceeds the limit (4300 digits) for a coordinate's exponent"
+    # an integer token of 4301 digits hits int()'s own limit
+    with pytest.raises(pm.InputError, match="^line 2: bad witness: Exceeds the limit \\(4300 digits\\)"):
+        parse_catalog(rehash(5, 2, [f"{recs[0]} R {'9' * 4301} {' '.join(coords[1:])}"]))
+    # `polyom realize` on such a catalog exits 2 with one line, at once
+    path = tmp_path / "huge.cat"
+    path.write_text(rehash(5, 2, [f"{recs[0]} R 1e999999999 {' '.join(coords[1:])}"]))
+    run = run_bounded("from polyom.cli import main; main()", "realize", "--catalog", str(path), "--trials", "1")
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: line 2: bad witness: Exceeds the limit (4300 digits) for a coordinate's exponent\n"
+
+
 def test_crlf_catalog_fails_the_checksum(tmp_path):
     cat = from_enumeration(pm.enumerate_chirotopes(5, 2))
     path = tmp_path / "5_2.cat"
@@ -211,6 +238,43 @@ def test_header_width_no_record_has(n, k):
     with pytest.raises(pm.InputError) as info:
         Catalog(n, k, ("+", "-"))
     assert str(info.value) == f"bad record for n={n} k={k}: '+'"
+
+
+def run_bounded(code, *args, seconds=10):
+    """`python -c code args` on this source tree, killed after `seconds`:
+    a read that hangs fails the test instead of stalling the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=seconds
+    )
+
+
+def test_large_header_reads_promptly():
+    # comb(3000000, 1000002) has about 830,000 digits; the header alone
+    # passes the digest of an empty body
+    code = """if True:
+        import hashlib
+        from polyom import InputError
+        from polyom.catalog import parse_catalog
+        head = "n=3000000 k=1000000 count={} sha256={}\\n"
+        for body in ("", "+\\n", "+-\\n"):
+            text = head.format(body.count("\\n"), hashlib.sha256(body.encode()).hexdigest()) + body
+            try:
+                cat = parse_catalog(text)
+                print(cat.n, cat.k, len(cat))
+            except InputError as exc:
+                print(exc)
+    """
+    run = run_bounded(code)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (
+        "3000000 1000000 0\n"
+        "bad record for n=3000000 k=1000000: '+'\n"
+        "bad record for n=3000000 k=1000000: '+-'\n"
+    )
+    # n = k + 2: one tuple, so a one-sign record is the right width
+    assert Catalog(3000002, 3000000, ("+",)).records == ("+",)
 
 
 def test_first_bad_record_is_reported():

@@ -80,8 +80,9 @@ def assert_check_output(path, chi, deg, coc):
 
 
 def test_check_output_matches_reference(tmp_path):
-    """Uniform maps have complete cocircuit sets, which take the zero-set
-    lookup; it must reach the general path's verdict."""
+    """Uniform maps have complete cocircuit sets, whose C3 check is
+    narrowed to their modular pairs; it must give the zero-set lookup's
+    report and weak elimination's verdict."""
     for rec in six_two_maps_and_flips():
         chi = pm.Chirotope(6, 2, pm.signs_from_string(rec))
         assert chi.is_uniform()
