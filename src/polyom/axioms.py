@@ -3,6 +3,9 @@
 Every check returns an AxiomReport.  Failures carry the lexicographically
 first witness: checks scan pairs and windows in lex order, so reruns
 produce identical reports; for C3, among the pairs that it checks.
+
+C0 to C3 and the scan's acyclic and extreme tests read sign-vector sets
+in one arithmetic: products of 0/1 matrices, whose counts float holds.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .chirotope import Chirotope, cocircuit_vectors, window_signs
+from .chirotope import Chirotope, checked_signs, cocircuit_vectors, window_signs
 from .combinat import exchange_table, window_index
 from .errors import InputError
 
@@ -177,36 +180,26 @@ def _as_matrix(vectors):
         M = M.reshape(0, 0)
     if M.ndim != 2:
         raise InputError("expected a list of equal-length sign vectors")
-    if M.dtype.kind not in "biufO" or not ((M == -1) | (M == 0) | (M == 1)).all():
-        raise InputError("signs must be -1, 0 or +1")
-    return M.astype(np.int8, copy=False)
+    return checked_signs(M)
 
 
-# Bits per packed word: column c is bit c % 63 of word c // 63, so every
-# word is a nonnegative int64 and a packed set is exact at any width.
-_WORD = 63
-_BITS = np.int64(1) << np.arange(_WORD, dtype=np.int64)
+# Array elements per block of the pairwise C3 pass and of the
+# reorientation scan: bounds their (rows, m) and (rows, 2n) arrays.
+CHUNK = 1 << 17
 
 
-def _pack(B):
-    """An (m, n) boolean matrix as (m, ceil(n / 63)) int64 words."""
-    m, n = B.shape
-    words = -(-n // _WORD)
-    padded = np.zeros((m, words * _WORD), np.int64)
-    padded[:, :n] = B
-    return padded.reshape(m, words, _WORD) @ _BITS
+def _blocks(count, m, n):
+    """Slices of range(count), CHUNK // (m + 2n) rows each (at least one)."""
+    step = max(1, CHUNK // max(1, m + 2 * n))
+    return (slice(s, s + step) for s in range(0, count, step))
 
 
-def _bits(words, n):
-    """Inverse of `_pack`: (m, W) words as an (m, n) boolean matrix."""
-    m, w = words.shape
-    bits = np.unpackbits(words.astype("<i8", copy=False).view(np.uint8), axis=1, bitorder="little")
-    return bits.reshape(m, w, 64)[:, :, :_WORD].reshape(m, w * _WORD)[:, :n].view(bool)
-
-
-# Array elements per block of the pairwise C3 pass: bounds its
-# (pairs, m) and (pairs, 2n) arrays.
-C3_CHUNK = 1 << 17
+def _clash_free(P, N):
+    """The vectors with + sets P and - sets N that avoid boolean rows
+    [F+ | F-]: the clash count [F+ | F-] @ [P | N]^T is 0, which float32
+    decides exactly, since a sum of 0/1 terms is 0 only if each term is."""
+    PN = np.ascontiguousarray(np.concatenate([P, N], axis=1).T, dtype=np.float32)
+    return lambda forbidden: (forbidden.astype(np.float32) @ PN) == 0
 
 
 def _c3_general(M, pairs):
@@ -219,14 +212,13 @@ def _c3_general(M, pairs):
     share too little.  pairs is a symmetric (m, m) boolean mask; it
     must leave out the pairs X = -Y, which need no eliminant.
 
-    The marked pairs are checked at once, in blocks of at most C3_CHUNK
-    array elements, as products of 0/1 matrices: the clash counts
-    [outside X+ | Y+, outside X- | Y-] @ [P | N]^T (a row is allowed
-    where its count is 0), then the coverage counts allowed @ Z, where
-    Z marks the zero entries; an element fails where it separates X and
-    Y and no allowed row covers it.  Only whether a count is 0 is read,
-    and a float sum of 0/1 terms rounds to 0 exactly when every term is
-    0, in any order and at any precision: float32 decides it exactly.
+    The marked pairs are checked at once, in blocks of at most CHUNK
+    array elements, as products of 0/1 matrices: the clash test
+    (`_clash_free`) on [outside X+ | Y+, outside X- | Y-] gives the
+    allowed rows, then the coverage counts allowed @ Z, where Z marks
+    the zero entries; an element fails where it separates X and Y and
+    no allowed row covers it.  Only whether a count is 0 is read, so
+    float32 decides it exactly.
 
     Only pairs i < j are formed: clash, coverage, the separating set
     and the mask are symmetric in X and Y, so the failing pairs form a
@@ -235,15 +227,13 @@ def _c3_general(M, pairs):
     """
     m, n = M.shape
     P, N = M == 1, M == -1
-    PN = np.ascontiguousarray(np.concatenate([P, N], axis=1).T, dtype=np.float32)
+    clash_free = _clash_free(P, N)
     Z = (M == 0).astype(np.float32)
     I, J = np.divmod(np.flatnonzero(np.triu(pairs, 1)), m)
-    step = max(1, C3_CHUNK // (m + 2 * n))
-    for s in range(0, len(I), step):
-        i, j = I[s : s + step], J[s : s + step]
-        outside = np.hstack([~(P[i] | P[j]), ~(N[i] | N[j])]).astype(np.float32)
-        allowed = ((outside @ PN) == 0).astype(np.float32)
-        missing = ((P[i] & N[j]) | (N[i] & P[j])) & ((allowed @ Z) == 0)
+    for b in _blocks(len(I), m, n):
+        i, j = I[b], J[b]
+        allowed = clash_free(np.hstack([~(P[i] | P[j]), ~(N[i] | N[j])]))
+        missing = ((P[i] & N[j]) | (N[i] & P[j])) & ((allowed.astype(np.float32) @ Z) == 0)
         failed = missing.any(1)
         if failed.any():
             t = int(np.argmax(failed))
@@ -314,15 +304,22 @@ def check_cocircuit_axioms(vectors, uniform=None):
 
 
 def _acyclic_extreme(M, A):
-    """The acyclic mask and the extreme-element words of the
-    reorientations A (one subset per row, packed as `_pack` packs a row)
-    of the sign-vector set M.  X is nonnegative under A exactly when
-    A & supp(X) == X^-.  Acyclic: the nonnegative supports cover every
-    element.  Extreme: in the zero set of some nonnegative vector."""
-    supp, neg, zero = _pack(M != 0), _pack(M == -1), _pack(M == 0)
-    nonneg = ((A[:, None] & supp) == neg).all(2)[:, :, None]
-    covered = np.bitwise_or.reduce(supp * nonneg, axis=1) == _pack(np.ones((1, M.shape[1]), bool))
-    return nonneg.any((1, 2)) & covered.all(1), np.bitwise_or.reduce(zero * nonneg, axis=1)
+    """The acyclic mask and the extreme-element rows of the reorientations
+    A (boolean rows, True where flipped) of the sign-vector set M, in
+    blocks of CHUNK elements.  X is nonnegative under A exactly when it
+    passes the clash test on [A | ~A].  Acyclic: the supports S of the
+    nonnegative vectors cover every element; extreme: in the zero set Z
+    of one; both read nonneg @ [S | Z] > 0."""
+    m, n = M.shape
+    clash_free = _clash_free(M == 1, M == -1)
+    SZ = np.concatenate([M != 0, M == 0], axis=1).astype(np.float32)
+    acyclic, extreme = [], []
+    for b in _blocks(len(A), m, n):
+        nonneg = clash_free(np.hstack([A[b], ~A[b]]))
+        hit = (nonneg.astype(np.float32) @ SZ) > 0
+        acyclic.append(nonneg.any(1) & hit[:, :n].all(1))
+        extreme.append(hit[:, n:])
+    return np.concatenate(acyclic), np.concatenate(extreme)
 
 
 def is_acyclic(obj):
@@ -331,7 +328,7 @@ def is_acyclic(obj):
     Accepts a Chirotope (cocircuits are computed) or a vector matrix.
     """
     M = cocircuit_vectors(obj) if isinstance(obj, Chirotope) else _as_matrix(obj)
-    return bool(_acyclic_extreme(M, np.zeros((1, 1), np.int64))[0][0])
+    return bool(_acyclic_extreme(M, np.zeros((1, M.shape[1]), bool))[0][0])
 
 
 def extreme_points(chi):
@@ -339,10 +336,10 @@ def extreme_points(chi):
 
     Defined for acyclic chirotopes only; raises InputError otherwise.
     """
-    acyclic, extreme = _acyclic_extreme(cocircuit_vectors(chi), np.zeros((1, 1), np.int64))
+    acyclic, extreme = _acyclic_extreme(cocircuit_vectors(chi), np.zeros((1, chi.n), bool))
     if not acyclic[0]:
         raise InputError("extreme points need an acyclic chirotope")
-    return tuple(int(c) + 1 for c in np.flatnonzero(_bits(extreme[:1], chi.n)))
+    return tuple(int(c) + 1 for c in np.flatnonzero(extreme[0]))
 
 
 @dataclass(frozen=True)
@@ -374,10 +371,6 @@ class ScanReport:
         )
 
 
-# Reorientations per batch of the scan: bounds its (batch, m, words) arrays.
-SCAN_CHUNK = 1024
-
-
 def las_vergnas_scan(chi):
     """Count extreme points in every reorientation of a chirotope.
 
@@ -389,12 +382,10 @@ def las_vergnas_scan(chi):
     as bitmasks, element e <-> bit e-1.
     """
     M, n, r = cocircuit_vectors(chi), chi.n, chi.r
-    subsets = np.arange(1 << n)[:, None]
-    parts = [_acyclic_extreme(M, subsets[s : s + SCAN_CHUNK]) for s in range(0, 1 << n, SCAN_CHUNK)]
-    acyclic = np.concatenate([a for a, _ in parts])
-    extreme = np.concatenate([x for _, x in parts])
+    flips = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    acyclic, extreme = _acyclic_extreme(M, flips)
     masks = np.flatnonzero(acyclic)
-    counts = np.bitwise_count(extreme[masks]).sum(1, dtype=np.int64)
+    counts = extreme[masks].sum(1)
     values, freq = np.unique(counts, return_counts=True)
     best_set, best_count = (), -1
     if len(masks):

@@ -38,9 +38,7 @@ class Chirotope:
             raise InputError(
                 f"expected {comb(n, k + 2)} signs for n={n} k={k}, got {arr.size}"
             )
-        if arr.dtype.kind not in "biufO" or not ((arr == -1) | (arr == 0) | (arr == 1)).all():
-            raise InputError("signs must be -1, 0 or +1")
-        arr = arr.astype(np.int8, copy=False)
+        arr = checked_signs(arr)
         arr.setflags(write=False)
         self.n = n
         self.k = k
@@ -141,6 +139,14 @@ def from_text(text):
     except (ValueError, KeyError) as exc:
         raise InputError(f"malformed header {lines[0]!r}") from exc
     return Chirotope(n, k, signs_from_string(lines[1].strip()))
+
+
+def checked_signs(arr):
+    """An array of any shape as int8 signs; InputError unless every
+    entry is a number equal to -1, 0 or +1."""
+    if arr.dtype.kind not in "biufO" or not ((arr == -1) | (arr == 0) | (arr == 1)).all():
+        raise InputError("signs must be -1, 0 or +1")
+    return arr.astype(np.int8, copy=False)
 
 
 def sign_chars(signs):

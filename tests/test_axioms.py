@@ -305,8 +305,8 @@ def test_cocircuit_axioms_input_faults(vectors, message):
 def test_zero_set_keys_exact_beyond_one_word():
     # rank 2 on n points of a line: the pair with zero set {a} is
     # X(e) = sign(x_e - x_a).  These sets are complete, so C3 checks only
-    # their modular pairs; the oracle's zero-set keys reach the second
-    # 63-bit word
+    # their modular pairs; the oracle's zero-set keys span more than
+    # eight bytes
     rng = random.Random(70)
     failed = []
     for n in (63, 64, 70):
@@ -329,7 +329,7 @@ def test_zero_set_keys_exact_beyond_one_word():
 
 def test_general_path_keys_beyond_one_word():
     # a uniform (7,2) set padded to 70 columns, then rotated so that its
-    # columns reach the second 63-bit word; no element wraps around, so a
+    # columns reach beyond column 63; no element wraps around, so a
     # witness moves with the rotation
     vecs = pm.cocircuit_vectors(member(7, 2, 5))
     head = vecs[0]

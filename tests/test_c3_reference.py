@@ -1,14 +1,15 @@
-"""The cocircuit axioms on packed sign words against references.
+"""The cocircuit axioms as 0/1 count products against references.
 
 The oracles are the straightforward loops: C0 to C2 over rows and
 ordered pairs, weak elimination (C3) over ordered pairs (X, Y) one pair
 at a time with the same lex-first witness (i, j, e), and for complete
 sets a zero-set lookup: an int8 batch check of the pairs whose zero sets
-differ by one element, which pins the witnesses of those pairs.  The
-array code must give the same AxiomReport on real cocircuit sets, on
-their corruptions, and on synthetic sets wider than one 63-bit word; on
-complete sets, where it checks only the modular pairs, it must give the
-lookup's report and the pair loop's verdict.
+differ by one element, keyed by its own np.packbits rows, which pins the
+witnesses of those pairs.  The array code must give the same
+AxiomReport on real cocircuit sets, on their corruptions, and on
+synthetic sets of 63 to 130 columns; on complete sets, where it checks
+only the modular pairs, it must give the lookup's report and the pair
+loop's verdict.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import polyom as pm
 import polyom.axioms as axioms
-from polyom.axioms import AxiomReport, _c3_general, _pack
+from polyom.axioms import AxiomReport, _c3_general
 from test_properties import PROPS, sign_matrices
 
 _PASS = AxiomReport(True)
@@ -80,13 +81,10 @@ def reference_check(M):
     return reference_c3(M) if first else first
 
 
-def row_keys(words):
-    """One sortable key per row of packed words, equal exactly when the
-    rows are: the word itself, or the row's bytes beyond one word."""
-    w = words.shape[1]
-    if w == 1:
-        return words[:, 0]
-    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * w)))[:, 0]
+def row_keys(bits):
+    """One sortable key per row of np.packbits bytes, equal exactly when
+    the rows are: the row's bytes as one void scalar."""
+    return np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1])))[:, 0]
 
 
 def reference_c3_uniform(M):
@@ -107,8 +105,8 @@ def reference_c3_uniform(M):
     if len(trips) == 0:
         return _PASS
     I, J, E = trips[:, 0], trips[:, 1], trips[:, 2]
-    Z = _pack(zb)
-    unit = _pack(np.eye(n, dtype=bool))
+    Z = np.packbits(zb, axis=1)
+    unit = np.packbits(np.eye(n, dtype=bool), axis=1)
     zkeys, want = row_keys(Z), row_keys((Z[I] & Z[J]) | unit[E])
     order = np.argsort(zkeys, kind="stable")
     zs = zkeys[order]
@@ -278,7 +276,7 @@ def test_general_pass_across_blocks(monkeypatch, pairs_per_block):
     first = pairs.index(fails[0]) // pairs_per_block
     assert first > 0
     assert any(pairs.index(p) // pairs_per_block > first for p in fails if p[0] > fails[0][0])
-    monkeypatch.setattr(axioms, "C3_CHUNK", pairs_per_block * (m + 2 * n))
+    monkeypatch.setattr(axioms, "CHUNK", pairs_per_block * (m + 2 * n))
     assert assert_same(M) == AxiomReport(
         False, "C3", (fails[0][0], fails[0][1], reference_c3_pair(M, *fails[0]) + 1),
         "no eliminating vector for this pair",
@@ -300,7 +298,7 @@ def test_general_pass_on_edge_sets(monkeypatch, pairs_per_block):
     verdicts = []
     for S in sets:
         if pairs_per_block is not None:
-            monkeypatch.setattr(axioms, "C3_CHUNK", pairs_per_block * (len(S) + 2 * S.shape[1]))
+            monkeypatch.setattr(axioms, "CHUNK", pairs_per_block * (len(S) + 2 * S.shape[1]))
         verdicts.append(assert_same(S))
     assert verdicts[0] and verdicts[1] and not verdicts[2]
     assert any(verdicts[3:-3]) and not all(verdicts[3:-3])

@@ -9,15 +9,20 @@ reorientation and restriction.
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import polyom as pm
-from polyom.axioms import SCAN_CHUNK, ScanReport, _acyclic_extreme, _pack
+import polyom.axioms as axioms
+from polyom.axioms import ScanReport, _acyclic_extreme
 from polyom.combinat import all_tuples, sort_with_sign, tuple_index
 from test_acceptance import REQUIRED_COUNTS
 from test_c3_reference import benchmark_grid_maps
+from test_properties import PROPS, sign_matrices
 
 
 def reference_cocircuit_vectors(chi):
@@ -184,17 +189,32 @@ def test_is_acyclic_and_extreme_points_match_scan_counts():
 )
 def test_scan_across_chunks_matches_reference(maps):
     for base in maps():
-        assert 1 << base.n > SCAN_CHUNK
+        assert 1 << base.n > scan_rows_per_block(base)
         for chi in (base, base.reorient(range(9, base.n + 1))):
             rep = pm.las_vergnas_scan(chi)
             assert rep == reference_scan(chi, reference_cocircuit_vectors(chi)), chi
             assert rep.acyclic > 0
 
 
+def scan_rows_per_block(chi):
+    """Reorientations per block of the scan under the element budget."""
+    return axioms.CHUNK // (len(pm.cocircuit_vectors(chi)) + 2 * chi.n)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+def test_scan_over_many_blocks_matches_reference(monkeypatch, rows):
+    """A budget of a few reorientations per block; 50 leaves a short
+    last block at n = 6 and n = 8."""
+    for chi in catalog_maps(6, 2) + catalog_maps(8, 4, stride=8):
+        monkeypatch.setattr(axioms, "CHUNK", rows * (len(pm.cocircuit_vectors(chi)) + 2 * chi.n))
+        assert scan_rows_per_block(chi) == rows
+        assert pm.las_vergnas_scan(chi) == reference_scan(chi, reference_cocircuit_vectors(chi)), chi
+
+
 def wide_matrices(seed, width):
     """Sign-vector sets whose nonnegative rows cover every column but one,
-    the uncovered column c placed in each word; with c covered, and with
-    the covering row broken by a negative entry at c."""
+    the uncovered column c at 0, 62, the middle and the end; with c
+    covered, and with the covering row broken by a negative entry at c."""
     rng = np.random.default_rng([seed, width])
     out = []
     for c in sorted({0, 62, width // 2, width - 1} & set(range(width))):
@@ -212,9 +232,15 @@ def wide_matrices(seed, width):
     return out
 
 
-def word_elements(words, width):
-    """The elements (1-based columns) whose bits are set in one packed row."""
-    return tuple(c + 1 for c in range(width) if int(words[c // 63]) >> (c % 63) & 1)
+def assert_acyclic_extreme(M, flips):
+    """_acyclic_extreme on the flip rows against the reference on each
+    reoriented copy: the acyclic verdict and the boolean extreme row."""
+    got = _acyclic_extreme(M, flips)
+    assert got[0].shape == (len(flips),) and got[1].dtype == bool
+    for f, a, row in zip(flips, *got):
+        acyclic, extreme = reference_acyclic_extreme(np.where(f, -M, M))
+        assert bool(a) == acyclic
+        assert row.tolist() == [c + 1 in extreme for c in range(M.shape[1])]
 
 
 @pytest.mark.parametrize("width", [62, 63, 64, 65, 70, 126, 127, 130])
@@ -225,16 +251,23 @@ def test_acyclic_and_extreme_on_wide_vector_sets(width):
         acyclic, extreme = reference_acyclic_extreme(M)
         verdicts.add(acyclic)
         assert pm.is_acyclic(M) == acyclic
-        got = _acyclic_extreme(M, np.zeros((1, 1), np.int64))
-        assert bool(got[0][0]) == acyclic
-        assert word_elements(got[1][0], width) == extreme
-        flips = np.concatenate([M[[0, 6, 10, 13]] == -1, rng.random((4, width)) < 0.1])
-        got = _acyclic_extreme(M, _pack(flips))
-        for f, a, words in zip(flips, got[0], got[1]):
-            acyclic, extreme = reference_acyclic_extreme(np.where(f, -M, M))
-            assert bool(a) == acyclic
-            assert word_elements(words, width) == extreme
+        assert_acyclic_extreme(M, np.zeros((1, width), bool))
+        assert_acyclic_extreme(M, np.concatenate([M[[0, 6, 10, 13]] == -1, rng.random((4, width)) < 0.1]))
     assert verdicts == {True, False}
+
+
+@PROPS
+@given(sign_matrices(), st.data())
+def test_acyclic_and_extreme_on_random_sets(M, data):
+    """Random sets, with 0 rows too, under random flips, in blocks of a
+    random number of reorientations."""
+    m, n = M.shape
+    count, rows = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 9))
+    flips = data.draw(st.lists(st.booleans(), min_size=count * n, max_size=count * n))
+    flips = np.array(flips, bool).reshape(count, n)
+    assert pm.is_acyclic(M) == reference_acyclic_extreme(M)[0]
+    with mock.patch.object(axioms, "CHUNK", rows * (m + 2 * n)):
+        assert_acyclic_extreme(M, flips)
 
 
 def test_is_acyclic_on_empty_sets():
