@@ -20,43 +20,15 @@ refuses an integer of more than 4300 digits.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chirotope import ascending, char_signs, leading_signs, record_chars
+from .combinat import comb_upto
 from .errors import CatalogIntegrityError, InputError
-from .points import PointConfig
+from .points import _INTEGER, PointConfig, _fraction
 
 _CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporaries
-_INTEGER = re.compile("-?[0-9]+").fullmatch  # coordinates read by int()
-# The decimal spellings with an exponent that Fraction(str) reads; group 1
-# is the exponent.  Fraction computes 10 ** exponent, so a coordinate whose
-# exponent passes the digit limit that int() puts on an integer token is
-# refused before it can cost unbounded time.
-_EXPONENT = re.compile(
-    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)"
-).fullmatch
-_MAX_DIGITS = 4300  # Python's default limit on int(str)
-
-
-def _comb_upto(n, j, cap):
-    """comb(n, j) when it is at most cap, else cap + 1, at a cost bounded
-    by cap: comb(n, i) does not fall as i rises to min(j, n - j)."""
-    c = 1
-    for i in range(min(j, n - j)):
-        c = c * (n - i) // (i + 1)
-        if c > cap:
-            return cap + 1
-    return c
-
-
-def _fraction(token):
-    """Fraction(token), with an exponent beyond _MAX_DIGITS refused."""
-    exp = _EXPONENT(token)
-    if exp and abs(int(exp[1])) > _MAX_DIGITS:
-        raise ValueError(f"Exceeds the limit ({_MAX_DIGITS} digits) for a coordinate's exponent")
-    return Fraction(token)
 
 
 @dataclass(frozen=True)
@@ -78,7 +50,7 @@ class Catalog:
         # comb(n, k + 2) only as far as the first record's length: a record
         # of another width is bad, and a large n and k must not cost comb
         first = len(self.records[0]) if self.records else 0
-        width, unordered = _comb_upto(self.n, self.k + 2, first), None
+        width, unordered = comb_upto(self.n, self.k + 2, first), None
         for lo in range(0, len(self.records), _CHECK_BLOCK):
             # one record of overlap, for the order check
             block = self.records[lo : lo + _CHECK_BLOCK + 1]

@@ -5,17 +5,16 @@ records sorted as byte strings.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
-from .combinat import lex_rank, sort_with_sign, tuple_index, window_index
+from .combinat import comb_upto, lex_rank, sort_with_sign, tuple_index, window_index
 from .errors import InputError
 
 # int8 signs 0, +1, -1 as bytes, their characters; others decode to 2
 _SIGN_BYTES, _ALPHABET = b"\x00\x01\xff", b"0+-"
 _TO_CHAR = bytes.maketrans(_SIGN_BYTES, _ALPHABET)
 _TO_SIGN = bytes(_SIGN_BYTES[_ALPHABET.index(c)] if c in _ALPHABET else 2 for c in range(256))
+_MAX_COUNT = 1 << 63  # sign counts are named in errors only up to here
 
 
 class Chirotope:
@@ -34,10 +33,11 @@ class Chirotope:
         if n < k + 2:
             raise InputError(f"need at least k+2 = {k + 2} elements, got n = {n}")
         arr = np.array(signs if isinstance(signs, np.ndarray) else list(signs))
-        if arr.ndim != 1 or len(arr) != comb(n, k + 2):
-            raise InputError(
-                f"expected {comb(n, k + 2)} signs for n={n} k={k}, got {arr.size}"
-            )
+        # comb(n, k + 2) only up to 2^63: a large n and k must not cost comb
+        want = comb_upto(n, k + 2, _MAX_COUNT)
+        if arr.ndim != 1 or len(arr) != want:
+            count = want if want <= _MAX_COUNT else f"more than {_MAX_COUNT}"
+            raise InputError(f"expected {count} signs for n={n} k={k}, got {arr.size}")
         arr = checked_signs(arr)
         arr.setflags(write=False)
         self.n = n
@@ -218,4 +218,4 @@ def cocircuit_vectors(chi):
 
 def window_signs(chi):
     """Matrix of subtuple signs per (k+3)-window, shape (W, k+3)."""
-    return chi.signs[np.array(window_index(chi.n, chi.k).windows, np.intp).reshape(-1, chi.k + 3)]
+    return chi.signs[window_index(chi.n, chi.k)]

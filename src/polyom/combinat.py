@@ -71,6 +71,17 @@ def lex_unrank(rank, n, r):
     return tuple(out)
 
 
+def comb_upto(n, j, cap):
+    """comb(n, j) when it is at most cap, else cap + 1, at a cost bounded
+    by cap: comb(n, i) does not fall as i rises to min(j, n - j)."""
+    c = 1
+    for i in range(min(j, n - j)):
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            return cap + 1
+    return c
+
+
 def all_tuples(n, r):
     """All sorted r-tuples over [n] in lex order."""
     return list(itertools.combinations(range(1, n + 1), r))
@@ -84,31 +95,16 @@ def _lex_ranks(T, n):
     return comb(n, r) - 1 - binom[n - T, r - np.arange(r)].sum(-1)
 
 
-@dataclass(frozen=True)
-class WindowIndex:
-    """Ranks of the (k+2)-subtuples of every (k+3)-window.
-
-    windows[w] lists the k+3 subtuple ranks of the w-th (k+3)-subset in
-    lex order of the subtuples, which is deletion of the largest element
-    first.
-    """
-
-    n: int
-    k: int
-    tuples: tuple
-    windows: tuple
-    window_tuples: tuple
-
-
 @lru_cache(maxsize=None)
 def window_index(n, k):
+    """Read-only (W, k+3) array: row w holds the ranks of the (k+2)-subtuples
+    of the (k+3)-window lex_unrank(w, n, k+3), in lex order of the
+    subtuples, which is deletion of the largest element first."""
     r = k + 2
-    tuples = tuple(all_tuples(n, r))
-    window_tuples = tuple(all_tuples(n, r + 1))
-    W = np.array(window_tuples, np.intp).reshape(-1, r + 1)
-    subs = W[:, [[i for i in range(r + 1) if i != r - j] for j in range(r + 1)]]
-    windows = tuple(map(tuple, _lex_ranks(subs, n).tolist()))
-    return WindowIndex(n=n, k=k, tuples=tuples, windows=windows, window_tuples=window_tuples)
+    W = np.array(all_tuples(n, r + 1), np.intp).reshape(-1, r + 1)
+    windows = _lex_ranks(W[:, [[i for i in range(r + 1) if i != r - j] for j in range(r + 1)]], n)
+    windows.setflags(write=False)
+    return windows
 
 
 @dataclass(frozen=True)
@@ -149,30 +145,32 @@ class ExchangeTable:
     Row p covers the ordered pair (lam, mu) with pivot lam_1 and holds
     k+3 terms: first -chi(lam)chi(mu), then for s = 1..k+2 the product
     chi(mu_s, lam_2, ..., lam_{k+2}) * chi(mu with mu_s replaced by
-    lam_1).  Tuples with repeats contribute the constant 0 (coeff[p,s]
+    lam_1), each coeff[p, s] * x[left[p, s]] * x[right[p, s]]; so lam
+    and mu have ranks left[p, 0] and right[p, 0], and rows run in their
+    lex order.  Tuples with repeats contribute the constant 0 (coeff[p,s]
     set to 0, dummy indices).  The test per row: the k+3 term signs
     contain both +1 and -1, or all vanish.
     """
 
-    n: int
-    k: int
+    # All three are stored column by column, so the test's reductions over
+    # the k+3 terms run elementwise across contiguous columns, far faster
+    # in numpy than along rows of k+3 entries.
     left: np.ndarray    # (rows, k+3) int32, first factor ranks
     right: np.ndarray   # (rows, k+3) int32, second factor ranks
     coeff: np.ndarray   # (rows, k+3) int8
-    pair_lam: np.ndarray
-    pair_mu: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def exchange_table(n, k, uniform_prune=False):
-    """Build the pair table; with uniform_prune, drop pairs whose pivot
-    lies in mu.  There the exchange at mu_s = lam_1 reproduces
-    chi(lam)chi(mu), so any nowhere-zero sign map passes automatically.
+def exchange_table(n, k, prune=False):
+    """Build the pair table; with prune, drop pairs whose pivot lies in
+    mu.  There the one nonzero exchange term, at mu_s = lam_1, is
+    chi(lam)chi(mu), the first term negated, so the pair holds on every
+    sign map, zeros included.
     """
     r = k + 2
     idx = tuple_index(n, k)
     pair_lam, pair_mu = (a.ravel() for a in np.indices((len(idx.tuples),) * 2))
-    if uniform_prune:
+    if prune:
         keep = ~(idx.tuples[pair_mu] == idx.tuples[pair_lam, :1]).any(1)
         pair_lam, pair_mu = pair_lam[keep], pair_mu[keep]
     lam, mu = idx.tuples[pair_lam], idx.tuples[pair_mu]
@@ -187,14 +185,10 @@ def exchange_table(n, k, uniform_prune=False):
     left = np.where(coeff != 0, idx.rank[rest, mu - 1], 0)
     right = np.where(coeff != 0, idx.rank[drop, piv], 0)
     table = ExchangeTable(
-        n=n,
-        k=k,
-        left=np.hstack([pair_lam[:, None], left]).astype(np.int32),
-        right=np.hstack([pair_mu[:, None], right]).astype(np.int32),
-        coeff=np.hstack([np.full((len(lam), 1), -1), coeff]).astype(np.int8),
-        pair_lam=pair_lam.astype(np.int32),
-        pair_mu=pair_mu.astype(np.int32),
+        left=np.asfortranarray(np.hstack([pair_lam[:, None], left]), np.int32),
+        right=np.asfortranarray(np.hstack([pair_mu[:, None], right]), np.int32),
+        coeff=np.asfortranarray(np.hstack([np.full((len(lam), 1), -1), coeff]), np.int8),
     )
-    for arr in (table.left, table.right, table.coeff, table.pair_lam, table.pair_mu):
+    for arr in (table.left, table.right, table.coeff):
         arr.setflags(write=False)
     return table

@@ -11,8 +11,9 @@ single-element extensions of an alternating oriented matroid, each one
 is a uniform chirotope up to reorientation (Ziegler, "Higher Bruhat
 orders and cyclic hyperplane arrangements", Topology 32, 1993).
 Reorientation leaves B3 invariant, so no catalog row needs the exchange
-condition checked; exchange_filter_mask is kept as the reference check
-that the tests run over whole catalogs.  Conversely every degree-k
+condition checked; exchange_filter_mask runs check_B3's evaluator over
+a whole record matrix, and is kept as the reference check that the
+tests run over whole catalogs.  Conversely every degree-k
 chirotope is unimodal on its windows, so the degree-k chirotopes on [n]
 are exactly the rank-(k+2) signotopes.
 
@@ -46,8 +47,9 @@ from functools import partial
 
 import numpy as np
 
+from .axioms import _exchange_failures
 from .chirotope import Chirotope, char_signs, record_order, records_of, sign_chars
-from .combinat import exchange_table, tuple_index, window_index
+from .combinat import tuple_index, window_index
 from .errors import InputError
 
 # elements (keys x P rows x words) per temporary of the key match
@@ -55,24 +57,9 @@ _MATCH_CHUNK = 1 << 20
 
 
 def exchange_filter_mask(chars, n, k):
-    """Which rows of a nowhere-zero sign matrix pass the exchange test.
-
-    Rows are record characters over the lex tuple order.  Uses the
-    pruned pair table: pairs whose pivot lies in mu hold automatically
-    for nowhere-zero maps.
-    """
-    tab = exchange_table(n, k, True)
-    m = len(chars)
-    if m == 0 or len(tab.coeff) == 0:
-        return np.ones(m, bool)
-    per_row = tab.coeff.size
-    chunk = max(16, int(24_000_000 / max(per_row, 1)))
-    mask = np.empty(m, bool)
-    for lo in range(0, m, chunk):
-        X = char_signs(chars[lo : lo + chunk])
-        P = tab.coeff[None, :, :] * X[:, tab.left] * X[:, tab.right]
-        mask[lo : lo + chunk] = ((P == 1).any(2) & (P == -1).any(2)).all(1)
-    return mask
+    """Which rows of a record character matrix pass the exchange test
+    (the evaluator of check_B3, in blocks over the rows)."""
+    return _exchange_failures(char_signs(chars), n, k)[1] < 0
 
 
 def _pack(bits):
@@ -91,7 +78,7 @@ def _extend(P, Q, n, r, shard=0, of_shards=1):
     placed into lex tuple order on [n], keeping only the Q keys whose
     index in sorted key order is shard modulo of_shards.
     """
-    wins = np.array(window_index(n - 1, r - 3).windows, np.intp).reshape(-1, r)
+    wins = window_index(n - 1, r - 3)
     first = Q[:, wins[:, 0]]
     forced = first != Q[:, wins[:, -1]]
     keys = np.hstack([_pack(forced), _pack(first & forced)]).view("<u8")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -402,8 +403,29 @@ def random_config(n, k, seed, coordinate_range=DEFAULT_RANGE, max_tries=DEFAULT_
     )
 
 
+_INTEGER = re.compile("-?[0-9]+").fullmatch  # tokens int() reads, faster than Fraction
+# The decimal spellings with an exponent that Fraction(str) reads; group 1
+# is the exponent.  Fraction computes 10 ** exponent, so a coordinate whose
+# exponent passes the digit limit that int() puts on an integer token is
+# refused before it can cost unbounded time.
+_EXPONENT = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)"
+).fullmatch
+_MAX_DIGITS = 4300  # Python's default limit on int(str)
+
+
+def _fraction(token):
+    """Fraction(token), with an exponent beyond _MAX_DIGITS refused."""
+    exp = _EXPONENT(token)
+    if exp and abs(int(exp[1])) > _MAX_DIGITS:
+        raise ValueError(f"Exceeds the limit ({_MAX_DIGITS} digits) for a coordinate's exponent")
+    return Fraction(token)
+
+
 def parse_points(text):
-    """Read a configuration from lines of "x y" (ints or p/q fractions).
+    """Read a configuration from lines of "x y", each coordinate as
+    Fraction(str) reads it (ints, p/q, decimals, exponents up to
+    _MAX_DIGITS).
 
     Blank lines and '#' comments are skipped.  The constructor sorts by x
     and rejects ties.
@@ -417,7 +439,7 @@ def parse_points(text):
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected two coordinates, got {raw!r}")
         try:
-            pts.append((Fraction(parts[0]), Fraction(parts[1])))
+            pts.append((_fraction(parts[0]), _fraction(parts[1])))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: bad coordinate in {raw!r}") from exc
     if not pts:

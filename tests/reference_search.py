@@ -12,6 +12,8 @@ the smallest cases.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from polyom.chirotope import Chirotope
@@ -99,9 +101,8 @@ def propagate_window(values):
 
 def var_windows(n, k):
     """For each tuple rank v, the windows (by index) whose subtuples include v."""
-    wi = window_index(n, k)
-    out = [[] for _ in wi.tuples]
-    for w, win in enumerate(wi.windows):
+    out = [[] for _ in range(comb(n, k + 2))]
+    for w, win in enumerate(window_index(n, k).tolist()):
         for v in win:
             out[v].append(w)
     return tuple(map(tuple, out))
@@ -113,10 +114,9 @@ def _search_leaves(n, k):
     Returns a bytearray of '+'/'-' rows in emission order, which is lex
     order of the sign strings.
     """
-    wi = window_index(n, k)
-    windows = wi.windows
+    windows = window_index(n, k).tolist()
     touching = var_windows(n, k)
-    T = len(wi.tuples)
+    T = comb(n, k + 2)
 
     x = [0] * T
     xb = bytearray(T)
@@ -168,7 +168,7 @@ def _search_leaves(n, k):
 
 def search_chirotopes(n, k):
     """The catalog of enumerate_chirotopes(n, k), found by the search."""
-    T = len(window_index(n, k).tuples)
+    T = comb(n, k + 2)
     chars = np.frombuffer(_search_leaves(n, k), np.uint8).reshape(-1, T)
     chars.setflags(write=False)
     return EnumerationResult(n=n, k=k, chars=chars)
@@ -181,14 +181,13 @@ def brute_force_strings(n, k, degree_check):
     only sensible for T <= 20 or so.  degree_check maps a Chirotope to a
     truthy verdict.  Returns the surviving sign strings, sorted.
     """
-    T = len(window_index(n, k).tuples)
+    T = comb(n, k + 2)
     if T > 24:
         raise InputError(f"brute force over 2^{T - 1} assignments refused")
     out = []
     total = 1 << (T - 1)
     chunk = 1 << 14
-    wi = window_index(n, k)
-    W = np.array(wi.windows, np.int64) if wi.windows else None
+    W = window_index(n, k)
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         X = np.ones((len(idx), T), np.int8)
@@ -196,7 +195,7 @@ def brute_force_strings(n, k, degree_check):
             bits = (idx[:, None] >> np.arange(T - 1, dtype=np.int64)[None, :]) & 1
             X[:, 1:] = 1 - 2 * bits.astype(np.int8)
         cand = np.ones(len(idx), bool)
-        if W is not None:
+        if len(W):
             S = X[:, W]
             cand = ((S[:, :, 1:] != S[:, :, :-1]).sum(2) <= 1).all(1)
         for row in X[cand]:

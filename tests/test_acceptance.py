@@ -171,11 +171,10 @@ def test_criterion_6_realizability_coverage():
 
 
 def _unimodal_transitive_masks(signs, n, k):
-    wins = window_index(n, k).windows
-    if not wins:
+    W = window_index(n, k)
+    if not len(W):
         ones = np.ones(len(signs), bool)
         return ones, ones
-    W = np.array(wins, np.int64)
     S = signs[:, W]
     changes = (S[:, :, 1:] != S[:, :, :-1]).sum(2)
     unimodal = (changes <= 1).all(1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 import polyom as pm
-from polyom.chirotope import Chirotope, signs_from_string, window_signs
-from polyom.combinat import window_index
+from polyom import axioms
+from polyom.chirotope import Chirotope, char_signs, signs_from_string, window_signs
+from polyom.combinat import all_tuples, exchange_table, lex_unrank
+from polyom.enumeration import exchange_filter_mask
 from test_c3_reference import complete, packed_c3, reference_check_uniform
+from test_combinat import reference_exchange_rows
 
 
 def member(n, k, idx):
@@ -58,6 +62,94 @@ def test_single_flips_of_catalog_members():
     assert total == 1110
     assert passing == 264
     assert member_hits == passing
+
+
+@functools.lru_cache(maxsize=None)
+def full_exchange_rows(n, k):
+    return reference_exchange_rows(n, k, False)
+
+
+def reference_check_B3(chi):
+    """check_B3 read off reference_exchange_rows: the full pair table in
+    lex order of the pairs, each pair's terms tested for both signs."""
+    tuples = all_tuples(chi.n, chi.r)
+    x = chi.signs.tolist()
+    for li, mi, ls, rs, cs in full_exchange_rows(chi.n, chi.k):
+        terms = tuple(c * x[a] * x[b] for a, b, c in zip(ls, rs, cs))
+        if not ((1 in terms and -1 in terms) or not any(terms)):
+            return pm.AxiomReport(
+                False, "B3", (tuples[li], tuples[mi], terms), "exchange terms all of one sign"
+            )
+    return pm.AxiomReport(True)
+
+
+def b3_maps(rng, n, k, count):
+    """Sign maps on (n, k): catalog rows as they are, with one sign
+    flipped or set to 0, and random maps with and without zeros."""
+    rows = [signs_from_string(s) for s in pm.enumerate_chirotopes(n, k).strings()]
+    out = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 4:
+            alphabet = (1, -1) if rng.random() < 0.5 else (1, 0, -1)
+            signs = np.array([rng.choice(alphabet) for _ in range(len(rows[0]))], np.int8)
+        else:
+            signs = rows[rng.randrange(len(rows))].copy()
+            if kind:
+                at = rng.randrange(len(signs))
+                signs[at] = -signs[at] if kind == 1 else 0
+            if kind == 3:
+                signs[rng.randrange(len(signs))] = rng.choice((1, 0, -1))
+        out.append(Chirotope(n, k, signs))
+    return out
+
+
+def test_B3_matches_the_reference_table():
+    rng = random.Random(16)
+    cases = {(3, 1): 30, (4, 2): 30, (5, 3): 30, (5, 1): 300, (6, 1): 600, (5, 2): 300,
+             (6, 2): 900, (7, 2): 600, (6, 3): 300}
+    checked = failing = zeros = 0
+    for (n, k), count in cases.items():
+        for chi in b3_maps(rng, n, k, count):
+            rep, ref = pm.check_B3(chi), reference_check_B3(chi)
+            assert rep == ref, chi
+            assert (rep.text(), rep.to_json()) == (ref.text(), ref.to_json())
+            checked += 1
+            failing += not rep.passed
+            zeros += not chi.is_uniform()
+    assert checked == 3090
+    assert 600 < failing < 2400 and 600 < zeros < 2400
+
+
+def test_B3_on_k_plus_two_elements():
+    # one tuple: the pruned table is empty, the full one holds the pair (lam, lam)
+    for k in (1, 2, 5):
+        assert len(exchange_table(k + 2, k, True).coeff) == 0
+        assert len(exchange_table(k + 2, k, False).coeff) == 1
+        for sign in (1, 0, -1):
+            assert pm.check_B3(Chirotope(k + 2, k, [sign])).passed
+        chars = np.array([[ord("+")], [ord("-")]], np.uint8)
+        assert exchange_filter_mask(chars, k + 2, k).tolist() == [True, True]
+
+
+@pytest.mark.parametrize("n, k", [(7, 2), (8, 3)])
+def test_exchange_filter_matches_check_B3_on_flips(n, k, monkeypatch):
+    rng = random.Random(n * 10 + k)
+    chars = pm.enumerate_chirotopes(n, k).chars
+    flipped = chars[[rng.randrange(len(chars)) for _ in range(2000)]].copy()
+    at = np.array([rng.randrange(chars.shape[1]) for _ in range(2000)])
+    rows = np.arange(2000)
+    flipped[rows, at] = np.where(flipped[rows, at] == ord("+"), ord("-"), ord("+"))
+    passed = [pm.check_B3(Chirotope(n, k, row)).passed for row in char_signs(flipped)]
+    mask = exchange_filter_mask(flipped, n, k)
+    assert mask.tolist() == passed
+    assert 1000 < (~mask).sum() < 2000
+    assert exchange_filter_mask(chars, n, k).all()
+    # blocks of one row and of seven rows give the same mask
+    size = exchange_table(n, k, True).coeff.size
+    for budget in (1, 7 * size):
+        monkeypatch.setattr(axioms, "EXCHANGE_CHUNK", budget)
+        assert exchange_filter_mask(flipped, n, k).tolist() == passed
 
 
 def test_unimodal_uniform():
@@ -114,7 +206,6 @@ def test_unimodal_every_window_sequence():
 def test_unimodal_first_failing_window_on_grid_maps():
     rng = random.Random(5)
     for n, k in ((6, 2), (7, 2), (7, 3)):
-        wi = window_index(n, k)
         for _ in range(40):
             xs = sorted(rng.sample(range(-3, 4), n))
             chi = pm.chirotope_of(pm.PointConfig([(x, rng.randint(-3, 3)) for x in xs]), k)
@@ -127,7 +218,7 @@ def test_unimodal_first_failing_window_on_grid_maps():
             assert rep.passed == all(ok)
             if not rep.passed:
                 w = ok.index(False)
-                assert rep.witness == (wi.window_tuples[w], tuple(int(v) for v in S[w]))
+                assert rep.witness == (lex_unrank(w, n, k + 3), tuple(int(v) for v in S[w]))
 
 
 def test_degenerate_realizable_config_passes_checks():

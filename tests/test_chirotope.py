@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def test_constructor_validates():
         Chirotope(3, 2, [])
     with pytest.raises(pm.InputError):
         Chirotope(4, 0, [1])
+
+
+def test_wrong_length_names_the_count_up_to_two_to_the_63():
+    # C(3810779, 3) <= 2**63 < C(3810780, 3); C(30000, 10002) is never computed
+    for n, k, count in ((5, 1, 10), (3810779, 1, comb(3810779, 3)),
+                        (3810780, 1, f"more than {2**63}"), (30000, 10000, f"more than {2**63}")):
+        with pytest.raises(pm.InputError) as info:
+            Chirotope(n, k, [1])
+        assert str(info.value) == f"expected {count} signs for n={n} k={k}, got 1"
 
 
 def test_constructor_rejects_values_outside_int8():

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import polyom as pm
 from polyom.cli import main
 from test_c3_reference import benchmark_grid_maps, packed_c3, reference_check, reference_check_uniform
+from test_catalog import run_bounded
 from test_cocircuit_reference import reference_cocircuit_vectors, reference_scan
 
 CUBIC = "0 0\n1 1\n2 8\n3 27\n"
@@ -419,3 +420,23 @@ def test_catalog_header_wider_than_any_array_exits_two(tmp_path):
         result = invoke(args + ["--catalog", cat_path])
         assert result.exit_code == 2, args
         assert result.stderr == "error: bad record for n=1000000 k=5: '+'\n"
+
+
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        ("n=30000 k=10000\n+\n", ["check"],
+         f"expected more than {2**63} signs for n=30000 k=10000, got 1"),
+        ("n=3000000 k=1000000\n+\n", ["check"],
+         f"expected more than {2**63} signs for n=3000000 k=1000000, got 1"),
+        ("1e10000000 0\n", ["chirotope", "--k", "2"], "line 1: bad coordinate in '1e10000000 0'"),
+        ("1e10000000 0\n", ["render", "--k", "2"], "line 1: bad coordinate in '1e10000000 0'"),
+    ],
+)
+def test_oversized_input_exits_two_at_once(tmp_path, text, args, message):
+    # C(n, k + 2) with a million digits, or a coordinate of 10**10000000,
+    # must not be computed; the run is killed after 5 s
+    path = write(tmp_path / "input.txt", text)
+    run = run_bounded("from polyom.cli import main; main()", args[0], path, *args[1:], seconds=5)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"error: {message}\n"

@@ -67,27 +67,28 @@ def test_sort_with_sign_matches_inversion_parity():
 
 def test_window_subtuples_delete_largest_first():
     wi = window_index(6, 2)
-    first = wi.windows[0]
-    assert wi.window_tuples[0] == (1, 2, 3, 4, 5)
-    assert wi.tuples[first[0]] == (1, 2, 3, 4)
-    assert wi.tuples[first[-1]] == (2, 3, 4, 5)
-    for win in wi.windows:
-        subs = [wi.tuples[v] for v in win]
+    tuples = all_tuples(6, 4)
+    first = wi[0]
+    assert lex_unrank(0, 6, 5) == (1, 2, 3, 4, 5)
+    assert tuples[first[0]] == (1, 2, 3, 4)
+    assert tuples[first[-1]] == (2, 3, 4, 5)
+    for win in wi.tolist():
+        subs = [tuples[v] for v in win]
         assert subs == sorted(subs)
         assert len(subs) == 5
 
 
 def test_var_windows_consistency():
-    wi = window_index(7, 3)
+    wi = window_index(7, 3).tolist()
     touching = var_windows(7, 3)
-    assert len(touching) == len(wi.tuples)
+    assert len(touching) == comb(7, 5)
     for v, ws in enumerate(touching):
         for w in ws:
-            assert v in wi.windows[w]
-    for w, win in enumerate(wi.windows):
+            assert v in wi[w]
+    for w, win in enumerate(wi):
         assert all(w in touching[v] for v in win)
     # every window touches exactly k+3 variables
-    for win in wi.windows:
+    for win in wi:
         assert len(set(win)) == 6
 
 
@@ -95,20 +96,28 @@ def test_exchange_table_shapes():
     tab = exchange_table(5, 2, False)
     assert tab.left.shape == tab.right.shape == tab.coeff.shape
     assert tab.coeff.shape[1] == 5  # k + 3 terms per pair
-    assert len(tab.pair_lam) == len(tab.coeff)
+    assert len(tab.coeff) == comb(5, 4) ** 2  # every ordered pair
 
 
 def test_exchange_table_prune_drops_pivot_in_mu():
     full = exchange_table(6, 2, False)
     pruned = exchange_table(6, 2, True)
-    pairs_full = set(zip(full.pair_lam.tolist(), full.pair_mu.tolist()))
-    pairs_pruned = set(zip(pruned.pair_lam.tolist(), pruned.pair_mu.tolist()))
+    pairs_full = set(zip(full.left[:, 0].tolist(), full.right[:, 0].tolist()))
+    pairs_pruned = set(zip(pruned.left[:, 0].tolist(), pruned.right[:, 0].tolist()))
     assert pairs_pruned < pairs_full
-    wi = window_index(6, 2)
+    tuples = all_tuples(6, 4)
     for li, mi in pairs_pruned:
-        assert wi.tuples[li][0] not in wi.tuples[mi]
+        assert tuples[li][0] not in tuples[mi]
     for li, mi in pairs_full - pairs_pruned:
-        assert wi.tuples[li][0] in wi.tuples[mi]
+        assert tuples[li][0] in tuples[mi]
+    # a dropped pair's one nonzero exchange term is +chi(lam)chi(mu), against
+    # the first term -chi(lam)chi(mu): the pair holds on every map, zeros too
+    rows = zip(full.left.tolist(), full.right.tolist(), full.coeff.tolist())
+    dropped = [row for row in rows if (row[0][0], row[1][0]) not in pairs_pruned]
+    assert len(dropped) == len(pairs_full - pairs_pruned)
+    for left, right, coeff in dropped:
+        (s,) = [s for s in range(1, len(coeff)) if coeff[s]]
+        assert (left[s], right[s], coeff[s]) == (left[0], right[0], 1)
 
 
 TABLE_CASES = [(n, k) for k in range(1, 6) for n in range(k + 2, 10) if n - k <= 5 or k == 1]
@@ -143,8 +152,8 @@ def test_exchange_table_matches_per_pair_reference(n, k):
         tab = exchange_table(n, k, prune)
         ref = reference_exchange_rows(n, k, prune)
         assert (tab.left.dtype, tab.right.dtype, tab.coeff.dtype) == (np.int32, np.int32, np.int8)
-        assert tab.pair_lam.tolist() == [row[0] for row in ref]
-        assert tab.pair_mu.tolist() == [row[1] for row in ref]
+        assert tab.left[:, 0].tolist() == [row[0] for row in ref]
+        assert tab.right[:, 0].tolist() == [row[1] for row in ref]
         assert tab.left.tolist() == [row[2] for row in ref]
         assert tab.right.tolist() == [row[3] for row in ref]
         assert tab.coeff.tolist() == [row[4] for row in ref]
@@ -163,7 +172,9 @@ def test_tuple_and_window_tables_match_per_tuple_reference(n, k):
             assert idx.rank[b, e - 1] == (lex_rank(srt, n) if parity else 0)
     rank = {t: i for i, t in enumerate(tuples)}
     wi = window_index(n, k)
-    assert wi.window_tuples == tuple(all_tuples(n, r + 1))
-    assert wi.windows == tuple(
-        tuple(rank[s] for s in sorted(itertools.combinations(lam, r))) for lam in wi.window_tuples
-    )
+    windows = all_tuples(n, r + 1)
+    assert wi.shape == (len(windows), r + 1) and not wi.flags.writeable
+    assert [lex_unrank(w, n, r + 1) for w in range(len(windows))] == windows
+    assert wi.tolist() == [
+        [rank[s] for s in sorted(itertools.combinations(lam, r))] for lam in windows
+    ]

@@ -129,13 +129,19 @@ def test_signs_from_string_total(text):
 def chirotope_texts():
     def with_width(nk):
         n, k = nk
-        width = comb(n, k + 2) if 1 <= k and k + 2 <= n else 3
+        width = comb(n, k + 2) if 1 <= k and k + 2 <= n <= 8 else 3
         signs = st.text(alphabet="+-0", min_size=width, max_size=width)
         return st.builds(f"n={n} k={k}\n{{}}\n".format, st.one_of(signs, signs, TEXT))
 
     some_nk = st.tuples(st.integers(-1, 8), st.integers(-1, 6))
     valid_nk = st.integers(1, 5).flatmap(lambda k: st.tuples(st.integers(k + 2, 8), st.just(k)))
-    return st.one_of(TEXT, some_nk.flatmap(with_width), valid_nk.flatmap(with_width))
+    # headers whose C(n, k + 2) has from 24,000 to millions of digits
+    large_nk = st.integers(10**5, 10**7).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(n // 4, n // 2))
+    )
+    return st.one_of(
+        TEXT, some_nk.flatmap(with_width), valid_nk.flatmap(with_width), large_nk.flatmap(with_width)
+    )
 
 
 @PROPS
@@ -148,9 +154,33 @@ def test_from_text_total(text):
         assert set(chi.signs.tolist()) <= {-1, 0, 1}
 
 
+# coordinate tokens: integers (beyond 2**63 too) and spellings that
+# Fraction(str) reads, or refuses, in its own way
+COORD = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["+5", "007", "-0", "-", "5_0", "1/2", "2/4", "-3/6", "1.5", "1e3", "0x1"]),
+    st.integers(2**63 - 2, 2**66).flatmap(lambda v: st.sampled_from([str(v), str(-v)])),
+)
+
+
+def spellings(v):
+    """Tokens that Fraction(str) reads as the integer v."""
+    sign = "-" if v < 0 else ""
+    return st.sampled_from([str(v), f"{v:+d}", f"{sign}00{abs(v)}", f"{2 * v}/2", f"{v}.0", f"{v}e0"])
+
+
+# exponent tokens on both sides of the 4300 limit, and far beyond it
+EXPONENTS = st.builds(
+    "{}e{}".format,
+    st.integers(-9, 9),
+    st.one_of(st.integers(-5000, 5000), st.sampled_from([4300, 4301, -4301, 10**7, 10**9])),
+)
+
+
 def point_texts():
     good = st.one_of(st.integers(-99, 99).map(str), st.fractions(max_denominator=9).map(str))
-    coord = st.one_of(good, st.sampled_from(["1/0", "x", "é", "0.5", "1 2"]))
+    spelled = st.one_of(COORD, EXPONENTS, st.integers(-99, 99).flatmap(spellings))
+    coord = st.one_of(good, spelled, st.sampled_from(["1/0", "x", "é", "0.5", "1 2"]))
     comment = st.builds("  # {}".format, TEXT.map(lambda t: t.replace("\n", " ")))
     return st.one_of(
         TEXT,
@@ -181,21 +211,6 @@ RECORDS_5_2 = st.sets(
     st.text(alphabet="+-0", min_size=5, max_size=5).filter(lambda r: r.lstrip("0")[:1] == "+"),
     max_size=6,
 ).map(sorted)
-
-
-# coordinate tokens: integers (beyond 2**63 too) and spellings that
-# Fraction(str) reads, or refuses, in its own way
-COORD = st.one_of(
-    st.integers(-9, 9).map(str),
-    st.sampled_from(["+5", "007", "-0", "-", "5_0", "1/2", "2/4", "-3/6", "1.5", "1e3", "0x1"]),
-    st.integers(2**63 - 2, 2**66).flatmap(lambda v: st.sampled_from([str(v), str(-v)])),
-)
-
-
-def spellings(v):
-    """Tokens that Fraction(str) reads as the integer v."""
-    sign = "-" if v < 0 else ""
-    return st.sampled_from([str(v), f"{v:+d}", f"{sign}00{abs(v)}", f"{2 * v}/2", f"{v}.0", f"{v}e0"])
 
 
 # five distinct x-values, each spelled one way or another
