@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -215,37 +216,37 @@ def _clash_free(P, N):
 
 
 def _c3_general(M, pairs):
-    """Weak elimination on the pairs of rows that pairs marks.
+    """Weak elimination on the pairs of rows that pairs lists.
 
     Where X and Y disagree, some vector of the set must vanish there
     while drawing every one of its signs from X or Y.  No constraint is
     put on the rest of its zero set: demanding one (as the exact
     near-pair form does) is unsatisfiable for pairs whose zero sets
-    share too little.  pairs is a symmetric (m, m) boolean mask; it
-    must leave out the pairs X = -Y, which need no eliminant.
+    share too little.  pairs is (I, J), two index arrays in lex order of
+    (i, j); it must leave out the pairs X = -Y, which need no eliminant.
+    `check_cocircuit_axioms` lists one pair i < j per negation orbit;
+    the pairs np.nonzero finds in a symmetric mask give the same report.
 
-    The marked pairs are checked at once, in blocks of at most CHUNK
+    The listed pairs are checked at once, in blocks of at most CHUNK
     array elements, as products of 0/1 matrices: the clash test
-    (`_clash_free`) on [outside X+ | Y+, outside X- | Y-] gives the
-    allowed rows, then the coverage counts allowed @ Z, where Z marks
-    the zero entries; an element fails where it separates X and Y and
-    no allowed row covers it.  Only whether a count is 0 is read, so
-    float32 decides it exactly.
-
-    Only pairs i < j are formed: clash, coverage, the separating set
-    and the mask are symmetric in X and Y, so the failing pairs form a
-    symmetric set and its lex-first ordered pair has i < j.  The witness
-    (i, j, e) is that pair with its lowest uncovered element.
+    (`_clash_free`) on [outside X+ | Y+, outside X- | Y-], one gather
+    from [~P | ~N] per row, gives the allowed rows, then the coverage
+    counts allowed @ Z, where Z marks the zero entries; an element fails
+    where it separates X and Y and no allowed row covers it.  Only
+    whether a count is 0 is read, so float32 decides it exactly.  The
+    witness (i, j, e) is the first failing pair listed, with its lowest
+    uncovered element.
     """
     m, n = M.shape
     P, N = M == 1, M == -1
     clash_free = _clash_free(P, N)
+    outside = np.hstack([~P, ~N])
     Z = (M == 0).astype(np.float32)
-    I, J = np.divmod(np.flatnonzero(np.triu(pairs, 1)), m)
+    I, J = pairs
     for b in _blocks(len(I), m, n):
         i, j = I[b], J[b]
-        allowed = clash_free(np.hstack([~(P[i] | P[j]), ~(N[i] | N[j])]))
-        missing = ((P[i] & N[j]) | (N[i] & P[j])) & ((allowed.astype(np.float32) @ Z) == 0)
+        allowed = clash_free(outside[i] & outside[j])
+        missing = (M[i] * M[j] == -1) & ((allowed.astype(np.float32) @ Z) == 0)
         failed = missing.any(1)
         if failed.any():
             t = int(np.argmax(failed))
@@ -263,13 +264,14 @@ def check_cocircuit_axioms(vectors, uniform=None):
 
     C0: the zero vector is absent.  C1: closed under negation.  C2: a
     support contained in another forces equality up to sign.  C0 to C2
-    read two products over all pairs of rows at once, with P, N and S
-    the 0/1 matrices of the +, - and nonzero entries: the shared support
-    inter = S S^T and the separating elements sep = P N^T + N P^T.  S_i
-    inside S_j: inter == |S_i|; equal supports: that both ways;
-    X_j = -X_i: equal supports and sep == inter (= |S_i|); X_j = X_i:
-    equal supports and sep == 0.  The entries count at most n terms, so
-    float64 holds them exactly.
+    read one product over all pairs of rows at once: with P and N the
+    0/1 matrices of the + and - entries, [P | N] [P | N, N | P]^T holds
+    the agreeing elements agree = P P^T + N N^T beside the separating
+    elements sep = P N^T + N P^T, and the shared support is
+    inter = agree + sep.  S_i inside S_j: inter == |S_i|; equal
+    supports: that both ways; X_j = -X_i: equal supports and
+    agree == 0; X_j = X_i: equal supports and sep == 0.  The entries
+    count at most n terms, so float32 holds them exactly.
 
     C3: weak elimination (`_c3_general`) on the pairs sep > 0 that are
     not X, -X.  The set is complete when its distinct rows share one
@@ -279,26 +281,38 @@ def check_cocircuit_axioms(vectors, uniform=None):
     there, elimination on modular pairs is weak elimination (BLVSZ 1993,
     3.6), and the witness is the one a lookup of the eliminant's zero
     set gives, since an allowed row that vanishes where a modular pair
-    separates has the zero set X^0 & Y^0 plus that element.  The
-    witness is the lex-first failing pair checked, with its lowest
-    uncovered element.  Witnesses index rows of the input.  uniform is
-    accepted and ignored.  Entries outside {-1, 0, 1} and ragged rows
-    raise InputError.
+    separates has the zero set X^0 & Y^0 plus that element.
+
+    Only one pair per negation orbit is checked.  After C1 every row i
+    has a first negative row nu(i).  The pair (nu(i), nu(j)) is (-X, -Y):
+    its allowed rows are the negatives of those of (X, Y), its
+    separating elements the same, and the set is closed under negation,
+    so both pairs fail at the same elements, and both are marked or
+    neither.  So only the pairs i < j that are lex <= their image
+    (sorted (nu(i), nu(j))) are checked.  The lex-first failing pair is
+    among them: were it not, its image would be a failing pair lex
+    before it.  That holds also when rows repeat and nu is no
+    involution.  The witness is that pair, the lex-first failing one of
+    all the marked pairs, with its lowest uncovered element: the one the
+    check on every marked pair gives.  Witnesses index rows of the
+    input.  uniform is accepted and ignored.  Entries outside
+    {-1, 0, 1} and ragged rows raise InputError.
     """
     M = _as_matrix(vectors)
-    if len(M) == 0:
+    m, n = M.shape
+    if m == 0:
         return _PASS
-    P, N = (M == 1).astype(np.float64), (M == -1).astype(np.float64)
-    S = P + N
-    size = S.sum(1)
+    A = np.hstack([M == 1, M == -1]).astype(np.float32)
+    size = A.sum(1)
     zero_rows = np.flatnonzero(size == 0)
     if len(zero_rows):
         return AxiomReport(False, "C0", (int(zero_rows[0]),), "zero vector present")
-    inter = S @ S.T
-    sep = np.hstack([P, N]) @ np.hstack([N, P]).T
+    counts = A @ np.vstack([A, np.hstack([A[:, n:], A[:, :n]])]).T
+    agree, sep = counts[:, :m], counts[:, m:]
+    inter = agree + sep
     nested = inter == size[:, None]
     same = nested & nested.T
-    neq = same & (sep == inter)
+    neq = same & (agree == 0)
     unpaired = ~neq.any(1)
     if unpaired.any():
         return AxiomReport(False, "C1", (int(np.argmax(unpaired)),), "negative not in the set")
@@ -309,10 +323,15 @@ def check_cocircuit_axioms(vectors, uniform=None):
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
     pairs = (sep > 0) & ~neq
     s = int(size[0])
-    distinct = (eq.argmax(1) == np.arange(len(eq))).sum()
-    if (size == s).all() and distinct == 2 * comb(M.shape[1], s):
+    distinct = (eq.argmax(1) == np.arange(m)).sum()
+    if (size == s).all() and distinct == 2 * comb(n, s):
         pairs &= inter == s - 1
-    return _c3_general(M, pairs)
+    I, J = np.divmod(np.flatnonzero(pairs), m)
+    nu = neq.argmax(1)
+    a, b = nu[I], nu[J]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = (I < J) & ((I < lo) | ((I == lo) & (J <= hi)))
+    return _c3_general(M, (I[keep], J[keep]))
 
 
 def _acyclic_extreme(M, A):
@@ -383,6 +402,16 @@ class ScanReport:
         )
 
 
+@lru_cache(maxsize=None)
+def _half_flips(n):
+    """Read-only (2^(n-1), n) boolean rows of the masks 0 .. 2^(n-1) - 1,
+    the reorientations that leave element n unflipped; element e <-> bit
+    e-1."""
+    flips = (np.arange(1 << (n - 1))[:, None] >> np.arange(n) & 1).astype(bool)
+    flips.setflags(write=False)
+    return flips
+
+
 def las_vergnas_scan(chi):
     """Count extreme points in every reorientation of a chirotope.
 
@@ -392,13 +421,20 @@ def las_vergnas_scan(chi):
     configuration exhibits.  best_set is the first reorientation (by
     subset bitmask) whose count is closest to k+2.  Subsets enumerate
     as bitmasks, element e <-> bit e-1.
+
+    The cocircuit set is closed under negation, so reorienting by A and
+    by its complement gives the same set of vectors, hence the same
+    nonnegative vectors, acyclic bit and extreme elements.  Only the
+    2^(n-1) masks that leave element n unflipped are evaluated; each
+    stands for itself and its complement, 2^n - 1 - mask, which comes
+    later in mask order.  So every count doubles, and the first mask
+    closest to k+2 lies in the evaluated half.
     """
     M, n, r = cocircuit_vectors(chi), chi.n, chi.r
-    flips = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-    acyclic, extreme = _acyclic_extreme(M, flips)
+    acyclic, extreme = _acyclic_extreme(M, _half_flips(n))
     masks = np.flatnonzero(acyclic)
     counts = extreme[masks].sum(1)
-    values, freq = np.unique(counts, return_counts=True)
+    freq = 2 * np.bincount(counts)
     best_set, best_count = (), -1
     if len(masks):
         best = int(np.argmin(np.abs(counts - r)))
@@ -408,8 +444,8 @@ def las_vergnas_scan(chi):
         n=n,
         k=chi.k,
         total=1 << n,
-        acyclic=len(masks),
-        histogram=dict(zip(values.tolist(), freq.tolist())),
+        acyclic=2 * len(masks),
+        histogram={c: int(freq[c]) for c in np.flatnonzero(freq).tolist()},
         found=best_count == r,
         best_set=best_set,
         best_count=best_count,

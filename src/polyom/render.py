@@ -8,6 +8,7 @@ the inputs and flags.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .combinat import lex_rank
@@ -52,8 +53,13 @@ def render_svg(
     yspan = ymax - ymin
 
     def to_screen(x, y):
-        sx = float((x - xmin) / xspan) * width
-        sy = height - float((y - ymin) / yspan) * height
+        try:
+            sx = float((x - xmin) / xspan) * width
+            sy = height - float((y - ymin) / yspan) * height
+        except OverflowError:
+            sx = sy = math.inf
+        if not (math.isfinite(sx) and math.isfinite(sy)):
+            raise InputError("coordinates too far apart to render: a curve leaves the float range")
         return sx, sy
 
     out = []

@@ -9,7 +9,8 @@ witnesses of those pairs.  The array code must give the same
 AxiomReport on real cocircuit sets, on their corruptions, and on
 synthetic sets of 63 to 130 columns; on complete sets, where it checks
 only the modular pairs, it must give the lookup's report and the pair
-loop's verdict.
+loop's verdict.  It checks one pair per orbit of (X, Y) -> (-X, -Y),
+and must give the report that checking every marked pair gives.
 """
 
 import itertools
@@ -160,9 +161,10 @@ def modular_pairs(M):
 
 
 def packed_c3(M):
-    """`_c3_general` on every separating pair: weak elimination."""
+    """`_c3_general` on every separating pair, both orders: weak
+    elimination."""
     M = np.asarray(M, np.int8)
-    return _c3_general(M, separating_pairs(M))
+    return _c3_general(M, np.nonzero(separating_pairs(M)))
 
 
 def assert_same(M):
@@ -399,20 +401,32 @@ def test_both_paths_on_random_small_matrices():
 
 @pytest.fixture
 def c3_pairs(monkeypatch):
-    """The pair masks that check_cocircuit_axioms hands to `_c3_general`,
-    in order."""
-    masks = []
+    """The pairs that check_cocircuit_axioms hands to `_c3_general`, one
+    list of (i, j) per call, in order."""
+    handed = []
 
     def spy(M, pairs, _f=axioms._c3_general):
-        masks.append(np.array(pairs))
+        handed.append(list(zip(*(np.asarray(p).tolist() for p in pairs))))
         return _f(M, pairs)
 
     monkeypatch.setattr(axioms, "_c3_general", spy)
-    return masks
+    return handed
 
 
-def assert_pairs(masks, want):
-    assert len(masks) == 1 and np.array_equal(masks[0], want)
+def orbit_minimal(M, mask):
+    """The pairs i < j of the mask, in lex order, that are lex <= their
+    image under X -> -X: (nu(i), nu(j)) sorted, with nu(i) the first row
+    equal to -M[i]."""
+    rows = np.asarray(M).tolist()
+    nu = [rows.index([-v for v in row]) for row in rows]
+    return [
+        (i, j) for i, j in zip(*np.nonzero(mask)) if i < j and (i, j) <= tuple(sorted((nu[i], nu[j])))
+    ]
+
+
+def assert_pairs(handed, M, want):
+    """One call, on exactly the orbit-minimal pairs of the mask want."""
+    assert len(handed) == 1 and handed[0] == orbit_minimal(M, want)
 
 
 def test_two_pairs_with_distant_zero_sets_fail_c3(c3_pairs):
@@ -425,7 +439,7 @@ def test_two_pairs_with_distant_zero_sets_fail_c3(c3_pairs):
     want = reference_c3(M)
     assert want == AxiomReport(False, "C3", (0, 2, 3), "no eliminating vector for this pair")
     assert pm.check_cocircuit_axioms(M) == want
-    assert_pairs(c3_pairs, separating_pairs(M))
+    assert_pairs(c3_pairs, M, separating_pairs(M))
 
 
 def test_count_alone_does_not_make_a_set_complete(c3_pairs):
@@ -439,7 +453,7 @@ def test_count_alone_does_not_make_a_set_complete(c3_pairs):
     want = assert_same(M)
     assert not want.passed
     assert pm.check_cocircuit_axioms(M) == want
-    assert_pairs(c3_pairs, separating_pairs(M))
+    assert_pairs(c3_pairs, M, separating_pairs(M))
 
 
 def random_complete_set(rng, n, z):
@@ -488,7 +502,7 @@ def test_complete_sets_take_the_lookup_with_weak_elimination_verdict(c3_pairs):
         assert complete(M)
         c3_pairs.clear()
         rep = pm.check_cocircuit_axioms(M)
-        assert_pairs(c3_pairs, modular_pairs(M))
+        assert_pairs(c3_pairs, M, modular_pairs(M))
         assert rep == reference_check_uniform(M), M.tolist()
         assert rep.passed == reference_c3(M).passed, M.tolist()
         # z = 0 and z = n - 1 have no separating modular pair
@@ -497,7 +511,7 @@ def test_complete_sets_take_the_lookup_with_weak_elimination_verdict(c3_pairs):
         if len(short):
             c3_pairs.clear()
             assert pm.check_cocircuit_axioms(short) == assert_same(short), short.tolist()
-            assert_pairs(c3_pairs, separating_pairs(short))
+            assert_pairs(c3_pairs, short, separating_pairs(short))
     assert verdicts["PASS", True] and verdicts["C3", True]
     assert {axiom for axiom, _ in verdicts} == {"PASS", "C3"}
 
@@ -521,7 +535,65 @@ def test_wide_rank_two_complete_set(c3_pairs):
         assert complete(M) and np.array_equal(modular_pairs(M), separating_pairs(M))
         c3_pairs.clear()
         rep = pm.check_cocircuit_axioms(M)
-        assert_pairs(c3_pairs, modular_pairs(M))
+        assert_pairs(c3_pairs, M, modular_pairs(M))
         assert rep == reference_check_uniform(M)
         verdicts.append(rep.axiom or "PASS")
     assert verdicts == ["PASS", "C3", "C3"]
+
+
+# ---------------------------------------------- one pair per negation orbit
+
+
+def full_pair_check(M):
+    """The loops for C0 to C2, then `_c3_general` on every marked pair in
+    both orders: the separating pairs, or on a complete set the modular
+    ones.  check_cocircuit_axioms hands it only one pair per orbit of
+    X -> -X and must give the same report."""
+    first = reference_c0_c2(M)
+    if not first:
+        return first
+    return _c3_general(M, np.nonzero(modular_pairs(M) if complete(M) else separating_pairs(M)))
+
+
+def shuffled_with_repeats(M, rng):
+    """M's rows shuffled, with up to three of them repeated: the first
+    negative of a row is then no longer an involution of the rows."""
+    M = np.vstack([M, M[[rng.randrange(len(M)) for _ in range(rng.randrange(4) if len(M) else 0)]]])
+    return M[rng.sample(range(len(M)), len(M))]
+
+
+# (n, k): stride through the catalog
+ORBIT_CORPUS = {(6, 2): 2, (7, 2): 97, (8, 4): 19, (9, 5): 83}
+
+
+def negation_closed_corpus(rng):
+    """Cocircuit sets of catalog records and of their single-sign flips,
+    and random sets R with -R, each shuffled with repeated rows."""
+    for (n, k), stride in sorted(ORBIT_CORPUS.items()):
+        for chi in list(pm.enumerate_chirotopes(n, k).chirotopes())[::stride]:
+            signs = chi.signs.copy()
+            t = rng.randrange(len(signs))
+            signs[t] = -signs[t] or 1
+            for c in (chi, pm.Chirotope(n, k, signs)):
+                yield shuffled_with_repeats(np.array(pm.cocircuit_vectors(c)), rng)
+    for _ in range(600):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 8)
+        R = np.array([[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(m)], np.int8)
+        yield shuffled_with_repeats(np.vstack([R, -R]), rng)
+
+
+def test_orbit_pairs_give_the_full_pair_report():
+    rng = random.Random(18)
+    verdicts = Counter()
+    for M in negation_closed_corpus(rng):
+        want = full_pair_check(M)
+        assert pm.check_cocircuit_axioms(M) == want, M.tolist()
+        verdicts[want.axiom or "PASS"] += 1
+    assert verdicts["PASS"] and verdicts["C2"] and verdicts["C3"] > 50
+
+
+@PROPS
+@given(sign_matrices(max_rows=6, max_width=8), st.randoms(use_true_random=False))
+def test_orbit_pairs_on_random_negation_closed_sets(R, rnd):
+    M = shuffled_with_repeats(np.vstack([R, -R]), rnd)
+    assert pm.check_cocircuit_axioms(M) == full_pair_check(M), M.tolist()

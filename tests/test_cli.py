@@ -263,6 +263,18 @@ def test_render_deterministic(tmp_path):
     assert a.output == b.output
 
 
+@pytest.mark.parametrize("far", ["1e400", "1e307"])
+def test_render_beyond_float_range_exits_two(tmp_path, far):
+    # 1e400 overflows float(); 1e307 converts, but scaled to the figure
+    # it is inf, which the SVG must not carry
+    pts = write(tmp_path / "pts.txt", f"{far} 0\n0 0\n1 1\n2 3\n")
+    result = invoke(["render", pts, "--k", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "float range" in result.stderr
+
+
 def test_catalog_tamper_detected_on_read(tmp_path):
     cat_path = tmp_path / "c.cat"
     invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])

@@ -189,11 +189,64 @@ def test_is_acyclic_and_extreme_points_match_scan_counts():
 )
 def test_scan_across_chunks_matches_reference(maps):
     for base in maps():
-        assert 1 << base.n > scan_rows_per_block(base)
+        assert 1 << (base.n - 1) > scan_rows_per_block(base)
         for chi in (base, base.reorient(range(9, base.n + 1))):
             rep = pm.las_vergnas_scan(chi)
             assert rep == reference_scan(chi, reference_cocircuit_vectors(chi)), chi
             assert rep.acyclic > 0
+
+
+def single_sign_flips(chis, seed):
+    """Each map with the sign of one tuple negated, or a 0 made +: not
+    chirotopes as a rule, but their cocircuit sets are closed under
+    negation as every map's is."""
+    rng = random.Random(seed)
+    out = []
+    for chi in chis:
+        signs = chi.signs.copy()
+        t = rng.randrange(len(signs))
+        signs[t] = -signs[t] or 1
+        out.append(pm.Chirotope(chi.n, chi.k, signs))
+    return out
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        lambda: wide_grid_maps(21, 7, 2, 12) + wide_grid_maps(22, 8, 1, 8) + wide_grid_maps(23, 9, 3, 4),
+        lambda: single_sign_flips(catalog_maps(6, 2) + catalog_maps(7, 2, stride=16), 6),
+        lambda: single_sign_flips(catalog_maps(8, 4, stride=4) + catalog_maps(9, 5, stride=20), 8),
+        lambda: single_sign_flips(wide_grid_maps(24, 8, 2, 8), 9),
+    ],
+    ids=["wide_grid", "flips_6_2_7_2", "flips_8_4_9_5", "flips_wide_grid"],
+)
+def test_half_scan_matches_reference(maps):
+    """The scan evaluates only the masks that leave element n unflipped,
+    each standing for its complement too.  It must give the full loop's
+    report on maps with zero signs and on maps that are no chirotope."""
+    chis = maps()
+    assert chis
+    for chi in chis:
+        M = pm.cocircuit_vectors(chi)
+        assert {tuple(row) for row in M.tolist()} == {tuple(row) for row in (-M).tolist()}
+        assert pm.las_vergnas_scan(chi) == reference_scan(chi, reference_cocircuit_vectors(chi)), chi
+
+
+@PROPS
+@given(sign_matrices(max_rows=8), st.data())
+def test_acyclic_and_extreme_agree_on_complements(M, data):
+    """On a set closed under negation, reorienting by A and by its
+    complement gives the same vectors: the same acyclic bit and the same
+    extreme row, which is what lets the scan read half the masks."""
+    M = np.vstack([M, -M])
+    n = M.shape[1]
+    count = data.draw(st.integers(1, 8))
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=count * n, max_size=count * n)), bool)
+    flips = flips.reshape(count, n)
+    acyclic, extreme = _acyclic_extreme(M, flips)
+    co_acyclic, co_extreme = _acyclic_extreme(M, ~flips)
+    assert np.array_equal(acyclic, co_acyclic)
+    assert np.array_equal(extreme, co_extreme)
 
 
 def scan_rows_per_block(chi):
@@ -203,8 +256,9 @@ def scan_rows_per_block(chi):
 
 @pytest.mark.parametrize("rows", [1, 7, 50])
 def test_scan_over_many_blocks_matches_reference(monkeypatch, rows):
-    """A budget of a few reorientations per block; 50 leaves a short
-    last block at n = 6 and n = 8."""
+    """A budget of a few reorientations per block.  The scan evaluates
+    2^(n-1) of them: 7 leaves a short last block at n = 6 and n = 8, 50
+    one short block at n = 6 and a short third block at n = 8."""
     for chi in catalog_maps(6, 2) + catalog_maps(8, 4, stride=8):
         monkeypatch.setattr(axioms, "CHUNK", rows * (len(pm.cocircuit_vectors(chi)) + 2 * chi.n))
         assert scan_rows_per_block(chi) == rows
