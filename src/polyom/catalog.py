@@ -8,13 +8,18 @@ digest covers the record lines byte for byte, line endings included, so
 any edit below the header is detected on read, except that a file cut
 before its last newline reads as if it were there.
 
-Reading costs integer work where it can.  A body whose every line is
-one whitespace-free token is an untagged catalog and is read with one
-split; any other body goes line by line, which is where every error is
-found.  A coordinate token spelled -?[0-9]+ is read with int(); any
-other goes to Fraction(str), which reads p/q, decimals, exponents,
-signs and underscores.  An exponent beyond 4300 is refused, as int()
-refuses an integer of more than 4300 digits.
+Reading costs integer work where it can.  A body of count lines of the
+header's width is first read as an untagged catalog: its bytes are
+viewed as a (count, width + 1) matrix, Catalog checks the records on
+that matrix and makes their strings with one split.  If Catalog refuses
+them, the body goes line by line, which is where every error of the
+format is found.  Catalog accepts a block of records by whole-array
+tests and looks for the first faulty record only in a block that fails
+them, so errors name the same record either way.  A coordinate token
+spelled -?[0-9]+ is read with int(); any other goes to Fraction(str),
+which reads p/q, decimals, exponents, signs and underscores.  An
+exponent beyond 4300 is refused, as int() refuses an integer of more
+than 4300 digits.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chirotope import ascending, char_signs, leading_signs, record_chars
+import numpy as np
+
+from .chirotope import ascending, char_signs, leading_signs, plus_minus, record_chars, records_of
 from .combinat import comb_upto
 from .errors import CatalogIntegrityError, InputError
 from .points import _INTEGER, PointConfig, _fraction
@@ -35,8 +42,10 @@ _CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporar
 class Catalog:
     """An immutable record list; witnesses align with records when tagged.
 
-    witnesses is None for an untagged catalog, else a tuple holding a
-    PointConfig or None per record.
+    records is given as a tuple of strings or as a record character
+    matrix (uint8, ASCII), which is checked as it is and kept as the
+    tuple of its rows.  witnesses is None for an untagged catalog, else
+    a tuple holding a PointConfig or None per record.
     """
 
     n: int
@@ -47,24 +56,24 @@ class Catalog:
     def __post_init__(self):
         if self.k < 1 or self.n < self.k + 2:
             raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={self.n} k={self.k}")
+        records, chars = self.records, None
+        if isinstance(records, np.ndarray):
+            chars, records = records, tuple(records_of(records))
+            object.__setattr__(self, "records", records)
         # comb(n, k + 2) only as far as the first record's length: a record
         # of another width is bad, and a large n and k must not cost comb
-        first = len(self.records[0]) if self.records else 0
+        first = len(records[0]) if records else 0
         width, unordered = comb_upto(self.n, self.k + 2, first), None
-        for lo in range(0, len(self.records), _CHECK_BLOCK):
+        if records and first != width:
+            raise InputError(f"bad record for n={self.n} k={self.k}: {records[0]!r}")
+        for lo in range(0, len(records), _CHECK_BLOCK):
             # one record of overlap, for the order check
-            block = self.records[lo : lo + _CHECK_BLOCK + 1]
-            # a record of another width is bad whatever it holds
-            chars = record_chars(block, width)
-            signs = char_signs(chars)
-            bad = (signs > 1).any(1)
-            fault = bad | (leading_signs(signs) != 1)
-            at = int(fault.argmax()) if fault.any() else len(chars)
-            if at < len(block):
-                if at == len(chars) or bad[at]:
-                    raise InputError(f"bad record for n={self.n} k={self.k}: {block[at]!r}")
-                raise InputError(f"record not canonical (first nonzero sign must be +): {block[at]!r}")
-            up = ascending(chars)
+            block = records[lo : lo + _CHECK_BLOCK + 1]
+            # a string of another width ends the block's matrix
+            rows = record_chars(block, width) if chars is None else chars[lo : lo + len(block)]
+            if len(rows) < len(block) or not plus_minus(rows):
+                self._fault(block, char_signs(rows))
+            up = ascending(rows)
             if unordered is None and not up.all():
                 unordered = lo + up.argmin()
         if unordered is not None:
@@ -72,6 +81,18 @@ class Catalog:
             raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
         if self.witnesses is not None and len(self.witnesses) != len(self.records):
             raise InputError("witness list does not match record count")
+
+    def _fault(self, block, signs):
+        """Raise at the first record of a block that is of another width,
+        holds a non-sign or is not canonical, if there is one; signs are
+        the rows of the leading records of the right width."""
+        bad = (signs > 1).any(1)
+        fault = bad | (leading_signs(signs) != 1)
+        at = int(fault.argmax()) if fault.any() else len(signs)
+        if at < len(block):
+            if at == len(signs) or bad[at]:
+                raise InputError(f"bad record for n={self.n} k={self.k}: {block[at]!r}")
+            raise InputError(f"record not canonical (first nonzero sign must be +): {block[at]!r}")
 
     def __len__(self):
         return len(self.records)
@@ -95,7 +116,7 @@ class Catalog:
 
 def from_enumeration(result):
     """Catalog of an EnumerationResult, untagged."""
-    return Catalog(result.n, result.k, tuple(result.strings()))
+    return Catalog(result.n, result.k, result.chars)
 
 
 def _tagged_line(record, witness):
@@ -135,17 +156,21 @@ def parse_catalog(text):
         digest = fields["sha256"]
     except (ValueError, KeyError) as exc:
         raise InputError(f"malformed catalog header {head!r}") from exc
-    lines = body.count("\n")
+    data = body.encode("ascii", errors="replace")
+    lines = data.count(b"\n")
     if lines != count:
         raise CatalogIntegrityError(f"header says {count} records, file has {lines}")
-    actual = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
-    if actual != digest:
+    if hashlib.sha256(data).hexdigest() != digest:
         raise CatalogIntegrityError("catalog checksum mismatch")
-    tokens = body.split()
-    if len(tokens) == count and sum(map(len, tokens)) + count == len(body):
-        # every line is one whitespace-free token: an untagged catalog,
-        # exactly as the loop below would read it
-        return Catalog(n=n, k=k, records=tuple(tokens))
+    if count and len(data) == count * (comb_upto(n, k + 2, len(data)) + 1):
+        # lines of the header's width: when Catalog accepts them as records,
+        # none holds a newline before its last byte, so with count newlines
+        # in the body each ends in one, and the loop below would read the
+        # same untagged catalog; on any fault the loop reports the first
+        try:
+            return Catalog(n=n, k=k, records=np.frombuffer(data, np.uint8).reshape(count, -1)[:, :-1])
+        except InputError:
+            pass
     body_lines = body.split("\n")[:-1]
     records = []
     witnesses = []

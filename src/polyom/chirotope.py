@@ -159,6 +159,19 @@ def char_signs(chars):
     return np.frombuffer(bytearray(chars).translate(_TO_SIGN), np.int8).reshape(chars.shape)
 
 
+def plus_minus(chars):
+    """True when every row of a character matrix holds only '+' and '-'
+    and starts with '+': canonical nowhere-zero records, by whole-array
+    tests."""
+    plus, minus = _ALPHABET[1], _ALPHABET[2]
+    return bool(
+        (chars[:, 0] == plus).all()
+        and chars.min(initial=plus) >= plus
+        and chars.max(initial=minus) <= minus
+        and not (chars == plus + 1).any()  # the one byte between them
+    )
+
+
 def signs_from_string(s):
     """'+-0' characters to an int8 array."""
     signs = char_signs(np.frombuffer(s.encode("ascii", "replace"), np.uint8))
@@ -182,9 +195,15 @@ def record_chars(records, width):
 
 
 def records_of(chars):
-    """The rows of a record character matrix as strings."""
-    text, width = chars.tobytes().decode("ascii"), chars.shape[1]
-    return [text[i : i + width] for i in range(0, len(text), width)]
+    """The rows of a record character matrix as strings, from one split."""
+    lines = np.empty((len(chars), chars.shape[1] + 1), np.uint8)
+    lines[:, :-1] = chars
+    lines[:, -1] = ord("\n")
+    text = str(lines.data, "ascii")
+    del lines  # the strings need not share the peak with the bytes
+    records = text.split("\n")
+    records.pop()
+    return records
 
 
 def record_order(chars):
@@ -192,10 +211,35 @@ def record_order(chars):
     return np.argsort(chars.view(f"V{chars.shape[1]}").ravel(), kind="stable")
 
 
+def bit_order(plus):
+    """record_order of nowhere-zero records, from where they hold '+' (a
+    boolean matrix): '+' sorts before '-', so the records sort as the
+    big-endian 8-byte words of their packed '-' bits."""
+    m, width = plus.shape
+    key = np.zeros((m, 8 * -(-width // 64)), np.uint8)
+    key[:, : -(-width // 8)] = np.packbits(plus, axis=1)
+    np.invert(key, out=key)
+    return np.lexsort(key.view(">u8").astype(np.uint64).T[::-1])
+
+
+def bit_chars(plus):
+    """The record characters of a boolean matrix (True = '+'), written
+    over its bytes: '-' - 2 * bit."""
+    chars = plus.view(np.uint8)
+    np.left_shift(chars, 1, out=chars)
+    return np.subtract(_ALPHABET[2], chars, out=chars)
+
+
 def ascending(chars):
-    """For each row after the first: does it sort strictly after the row before?"""
-    at = (chars[:-1] != chars[1:]).argmax(1)[:, None]
-    return (np.take_along_axis(chars[1:], at, 1) > np.take_along_axis(chars[:-1], at, 1))[:, 0]
+    """For each row after the first: does it sort strictly after the row
+    before?  Rows compare as big-endian 8-byte words, zero-padded."""
+    m, width = chars.shape
+    words = np.zeros((m, 8 * -(-width // 8)), np.uint8)
+    words[:, :width] = chars
+    words = words.view(">u8")
+    # equality does not depend on byte order
+    at = (words[:-1].view("<u8") != words[1:].view("<u8")).argmax(1)[:, None]
+    return (np.take_along_axis(words[1:], at, 1) > np.take_along_axis(words[:-1], at, 1))[:, 0]
 
 
 def cocircuit_vectors(chi):

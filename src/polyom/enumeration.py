@@ -31,12 +31,16 @@ extensions of higher Bruhat orders in Ziegler 1993 and Felsner-Weil
 The join.  enumerate_chirotopes builds the full (both-sign) signotope
 sets by recursion on (n-1, r) and (n-1, r-1), down to rank 1 (every
 map), rank n (both signs of the one tuple) and rank > n (the empty
-map), with a memo that lives for one call.  At each level the rows of Q are grouped by their key, the
-positions they force and the values there, and each group is paired
-with the rows of P that carry those values.  The top level pairs only
-the rows whose lex-first tuple (1, ..., k+2) is +, one of each
-{sigma, -sigma}, and sorts them as byte strings.  A shard joins only
-the keys whose index is its own modulo the shard count.
+map), with a memo that lives for one call.  At each level the rows of
+Q are grouped by their key, the positions they force and the values
+there, and each group is paired with the rows of P that carry those
+values.  P and Q are first placed into their columns of the rows on
+[n], so an output row is one gather of a P row ORed with one gather of
+a Q row.  The top level pairs only the rows whose lex-first tuple
+(1, ..., k+2) is +, one of each {sigma, -sigma}, and sorts them as
+byte strings on a 1-bit key: the rows hold no 0, so their packed '-'
+bits, read as big-endian words, sort as their characters do.  A shard
+joins only the keys whose index is its own modulo the shard count.
 """
 
 from __future__ import annotations
@@ -48,12 +52,14 @@ from functools import partial
 import numpy as np
 
 from .axioms import _exchange_failures
-from .chirotope import Chirotope, char_signs, record_order, records_of, sign_chars
+from .chirotope import Chirotope, bit_chars, bit_order, char_signs, records_of
 from .combinat import tuple_index, window_index
 from .errors import InputError
 
 # elements (keys x P rows x words) per temporary of the key match
 _MATCH_CHUNK = 1 << 20
+# output rows per gather of Q rows; bounds the temporary of the gather
+_ROW_CHUNK = 1 << 16
 
 
 def exchange_filter_mask(chars, n, k):
@@ -109,10 +115,16 @@ def _extend(P, Q, n, r, shard=0, of_shards=1):
     q += np.arange(len(q))
     q = by_key[q]
 
+    # P and Q placed into their columns of the rows on [n]; a row is
+    # then one gather of each, ORed
     has_n = tuple_index(n, r - 2).tuples[:, -1] == n
-    out = np.empty((len(q), len(has_n)), bool)
-    out[:, ~has_n] = P[np.repeat(hit_p, reps)]
-    out[:, has_n] = Q[q]
+    placed_p = np.zeros((len(P), len(has_n)), bool)
+    placed_p[:, ~has_n] = P
+    placed_q = np.zeros((len(Q), len(has_n)), bool)
+    placed_q[:, has_n] = Q
+    out = np.take(placed_p, np.repeat(hit_p, reps), axis=0)
+    for lo in range(0, len(q), _ROW_CHUNK):
+        out[lo : lo + _ROW_CHUNK] |= np.take(placed_q, q[lo : lo + _ROW_CHUNK], axis=0)
     return out
 
 
@@ -142,8 +154,9 @@ def _canonical(n, k, shard=0, of_shards=1):
     else:
         Q = Q[Q[:, 0]]
     del memo  # frees the lower levels before the top join
-    chars = sign_chars(2 * _extend(P, Q, n, r, shard, of_shards).view(np.int8) - 1)
-    chars = chars[record_order(chars)]
+    rows = _extend(P, Q, n, r, shard, of_shards)
+    order = bit_order(rows)
+    chars = bit_chars(rows)[order]
     chars.setflags(write=False)
     return EnumerationResult(n=n, k=k, chars=chars)
 
@@ -217,7 +230,7 @@ def merge_results(results):
         if (res.n, res.k) != (n, k):
             raise InputError("cannot merge results for different (n, k)")
     chars = np.vstack([res.chars for res in results])
-    chars = chars[record_order(chars)]
+    chars = chars[bit_order(char_signs(chars) > 0)]
     chars.setflags(write=False)
     return EnumerationResult(n=n, k=k, chars=chars)
 
@@ -226,7 +239,8 @@ def enumerate_sharded(n, k, of_shards, jobs=1):
     """Run every shard, optionally on a process pool, and merge."""
     task = partial(partition_search, n, k, of_shards=of_shards)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker at once: none idle
+        with ProcessPoolExecutor(max_workers=min(jobs, of_shards)) as pool:
             parts = list(pool.map(task, range(of_shards)))
     else:
         parts = [task(s) for s in range(of_shards)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polyom as pm
@@ -330,6 +331,93 @@ def test_record_checks_across_blocks(monkeypatch):
             except pm.InputError as exc:
                 got = str(exc)
             assert got == looped_fault(records, 6, 2), (block, records)
+
+
+def mutated_bodies(records, at):
+    """Record lines with one fault at or next to position at, each named."""
+    recs = list(records)
+    rec = recs[at]
+    flip = {"+": "-", "-": "+"}
+    mid = len(rec) // 2
+    yield "unchanged", recs
+    yield "space inside", recs[:at] + [rec[:mid] + " " + rec[mid + 1 :]] + recs[at + 1 :]
+    yield "trailing space", recs[:at] + [rec + " "] + recs[at + 1 :]
+    yield "short row", recs[:at] + [rec[:-1]] + recs[at + 1 :]
+    yield "long row", recs[:at] + [rec + "+"] + recs[at + 1 :]
+    for char in "0*,é\t":
+        yield f"{char!r} inside", recs[:at] + [rec[:mid] + char + rec[mid + 1 :]] + recs[at + 1 :]
+    yield "duplicate", recs[: at + 1] + [rec] + recs[at + 1 :]
+    if at + 1 < len(recs):
+        yield "swapped pair", recs[:at] + [recs[at + 1], rec] + recs[at + 2 :]
+    yield "not canonical", recs[:at] + ["".join(flip[c] for c in rec)] + recs[at + 1 :]
+    yield "empty line", recs[:at] + [""] + recs[at:]
+    yield "tagged line", recs[:at] + [rec + " U"] + recs[at + 1 :]
+
+
+def test_untagged_reader_matches_the_loop(monkeypatch):
+    import polyom.catalog as catalog_module
+
+    records = pm.enumerate_chirotopes(6, 2).strings()
+    texts = []
+    for at in (0, 1, 2, 3, 4, 5, len(records) - 2, len(records) - 1):
+        for name, lines in mutated_bodies(records, at):
+            text = rehash(6, 2, lines)
+            head, body = text.split("\n", 1)
+            count = len(lines)
+            texts += [
+                (name, text),
+                (name + ", no last newline", text[:-1]),
+                (name + ", count + 1", head.replace(f"count={count}", f"count={count + 1}") + "\n" + body),
+                (name + ", count - 1", head.replace(f"count={count}", f"count={count - 1}") + "\n" + body),
+            ]
+    for block in (1, 2, 3, 5, 1 << 16):
+        monkeypatch.setattr(catalog_module, "_CHECK_BLOCK", block)
+        for name, text in texts:
+            assert parsed(parse_catalog, text) == parsed(looped_parse, text), (block, name)
+    # the unchanged catalog reads as written, and every fault is reported
+    assert parse_catalog(rehash(6, 2, records)).records == tuple(records)
+    outcomes = {parsed(parse_catalog, text)[0] for _, text in texts}
+    assert outcomes == {6, pm.InputError, pm.CatalogIntegrityError}
+
+
+def test_character_matrix_checks_as_the_strings(monkeypatch):
+    import polyom.catalog as catalog_module
+
+    records = pm.enumerate_chirotopes(6, 2).strings()
+    cases = []
+    for at in (0, 1, 2, 3, len(records) - 1):
+        for name, lines in mutated_bodies(records, at):
+            if set(map(len, lines)) == {len(records[0])} and "".join(lines).isascii():
+                cases.append((name, lines))
+    assert len(cases) > 30
+    for block in (1, 2, 3, 1 << 16):
+        monkeypatch.setattr(catalog_module, "_CHECK_BLOCK", block)
+        for name, lines in cases:
+            chars = np.frombuffer("".join(lines).encode("ascii"), np.uint8).reshape(len(lines), -1)
+            want = looped_fault(lines, 6, 2)
+            want = (pm.InputError, want) if want else (6, 2, tuple(lines), None)
+            assert parsed(lambda m: Catalog(6, 2, m), chars) == want, (block, name)
+            assert parsed(lambda r: Catalog(6, 2, r), tuple(lines)) == want, (block, name)
+    # a matrix of another width is bad from its first row
+    chars = np.frombuffer("".join(records).encode("ascii"), np.uint8).reshape(len(records), -1)
+    with pytest.raises(pm.InputError) as info:
+        Catalog(6, 2, chars[:, 1:])
+    assert str(info.value) == f"bad record for n=6 k=2: {records[0][1:]!r}"
+    assert Catalog(6, 2, chars[:0, 1:]) == Catalog(6, 2, ())
+
+
+def test_empty_shard_round_trip(tmp_path):
+    from polyom.enumeration import partition_search
+
+    shard = partition_search(4, 2, 2, 3)
+    assert shard.count == 0
+    cat = from_enumeration(shard)
+    assert cat == Catalog(4, 2, ())
+    path = tmp_path / "empty.cat"
+    pm.write_catalog(path, cat)
+    assert pm.read_catalog(path) == cat
+    text = path.read_text()
+    assert parsed(parse_catalog, text) == parsed(looped_parse, text) == (4, 2, (), None)
 
 
 def looped_fault(records, n, k):

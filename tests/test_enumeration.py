@@ -161,6 +161,36 @@ def test_enumerate_sharded_with_pool():
     assert res.count == full.count
 
 
+def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
+    import polyom.enumeration as enumeration_module
+
+    started = []
+
+    class Recorder:
+        """Records max_workers and runs the tasks here; starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration_module, "ProcessPoolExecutor", Recorder)
+    full = pm.enumerate_chirotopes(6, 2)
+    for of_shards, jobs, workers in ((2, 4, 2), (3, 3, 3), (5, 2, 2), (1, 8, 1)):
+        res = pm.enumerate_sharded(6, 2, of_shards=of_shards, jobs=jobs)
+        assert res.chars.tobytes() == full.chars.tobytes()
+        assert started.pop() == workers, (of_shards, jobs)
+    assert pm.enumerate_sharded(6, 2, of_shards=3, jobs=1).count == full.count
+    assert started == []
+
+
 def test_partition_validation():
     with pytest.raises(pm.InputError):
         partition_search(6, 2, 2, 2)

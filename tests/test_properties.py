@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyom as pm
@@ -17,6 +17,8 @@ from polyom.catalog import Catalog, parse_catalog
 import polyom.catalog as catalog_module
 from polyom.chirotope import (
     ascending,
+    bit_chars,
+    bit_order,
     char_signs,
     leading_signs,
     record_chars,
@@ -76,6 +78,31 @@ def test_record_order_is_string_order(signs):
     chars = sign_chars(signs)
     strings = records_of(chars)
     assert records_of(chars[record_order(chars)]) == sorted(strings)
+    assert ascending(chars).tolist() == [a < b for a, b in zip(strings, strings[1:])]
+
+
+@st.composite
+def plus_matrices(draw):
+    """Boolean rows (True = '+') of the widths around whole bytes and
+    words, 0 to 12 rows drawn from a few that differ from one row in one
+    position each, so rows share long prefixes and repeat."""
+    width = draw(st.sampled_from([1, 8, 63, 64, 65, 70, 130]))
+    base = np.frombuffer(draw(st.binary(min_size=width, max_size=width)), np.uint8) & 1
+    flips = draw(st.lists(st.integers(0, width - 1), max_size=4))
+    pool = [base] + [base ^ (np.arange(width) == at) for at in flips]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    return np.array([pool[i] for i in picks], bool).reshape(len(picks), width)
+
+
+@PROPS
+@given(plus_matrices())
+@example(np.zeros((0, 130), bool))
+@example(np.ones((3, 1), bool))
+def test_bit_order_is_record_order_on_nowhere_zero_rows(plus):
+    chars = sign_chars(np.where(plus, 1, -1).astype(np.int8))
+    strings = records_of(chars)
+    assert bit_order(plus).tolist() == record_order(chars).tolist()
+    assert bit_chars(plus.copy()).tolist() == chars.tolist()
     assert ascending(chars).tolist() == [a < b for a, b in zip(strings, strings[1:])]
 
 
