@@ -36,11 +36,16 @@ Q are grouped by their key, the positions they force and the values
 there, and each group is paired with the rows of P that carry those
 values.  P and Q are first placed into their columns of the rows on
 [n], so an output row is one gather of a P row ORed with one gather of
-a Q row.  The top level pairs only the rows whose lex-first tuple
-(1, ..., k+2) is +, one of each {sigma, -sigma}, and sorts them as
-byte strings on a 1-bit key: the rows hold no 0, so their packed '-'
-bits, read as big-endian words, sort as their characters do.  A shard
-joins only the keys whose index is its own modulo the shard count.
+a Q row.  Each level is a set-up (the keys sorted and grouped, P
+packed, P and Q placed) and a step that matches a slice of the keys
+and gathers its rows; the lower levels take every key.  The top level
+pairs only the rows whose lex-first tuple (1, ..., k+2) is +, one of
+each {sigma, -sigma}, and sorts them as byte strings on a 1-bit key:
+the rows hold no 0, so their packed '-' bits, read as big-endian words,
+sort as their characters do.  A shard is the slice of the top keys
+whose index is its own modulo the shard count; enumerate_sharded builds
+the lower levels and the top set-up once, runs every shard's step on
+it, in process or on a pool, and sorts the rows of all shards once.
 """
 
 from __future__ import annotations
@@ -76,56 +81,64 @@ def _pack(bits):
     return out
 
 
-def _extend(P, Q, n, r, shard=0, of_shards=1):
-    """Rank-r signotopes on [n] from deletions P and contractions Q.
+class _Join:
+    """The rank-r signotopes on [n] from deletions P and contractions Q.
 
     P and Q are boolean rows (True = +) over the lex r-subsets and
-    (r-1)-subsets of [n-1].  Returns every valid pair (P row, Q row)
-    placed into lex tuple order on [n], keeping only the Q keys whose
-    index in sorted key order is shard modulo of_shards.
+    (r-1)-subsets of [n-1].  The set-up sorts and groups Q's keys,
+    packs P into words and places P and Q into their columns of the rows
+    on [n]; rows() then joins any slice of the keys against it.
     """
-    wins = window_index(n - 1, r - 3)
-    first = Q[:, wins[:, 0]]
-    forced = first != Q[:, wins[:, -1]]
-    keys = np.hstack([_pack(forced), _pack(first & forced)]).view("<u8")
-    words = keys.shape[1] // 2
-    by_key = np.lexsort(keys.T[::-1])
-    keys = keys[by_key]
-    new = np.ones(len(keys), bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(1)
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(keys))
-    starts, counts = starts[shard::of_shards], counts[shard::of_shards]
-    mask, value = keys[starts, :words], keys[starts, words:]
 
-    # key g matches P row j where P agrees with it on its mask
-    Pw = _pack(P).view("<u8")
-    step = max(1, _MATCH_CHUNK // max(1, Pw.size))
-    hit_key, hit_p = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    for lo in range(0, len(starts), step):
-        ok = ((Pw[None] & mask[lo : lo + step, None]) == value[lo : lo + step, None]).all(2)
-        g, j = np.nonzero(ok)
-        hit_key.append(g + lo)
-        hit_p.append(j)
-    hit_key, hit_p = np.concatenate(hit_key), np.concatenate(hit_p)
+    def __init__(self, P, Q, n, r):
+        wins = window_index(n - 1, r - 3)
+        first = Q[:, wins[:, 0]]
+        forced = first != Q[:, wins[:, -1]]
+        keys = np.hstack([_pack(forced), _pack(first & forced)]).view("<u8")
+        words = keys.shape[1] // 2
+        self.by_key = np.lexsort(keys.T[::-1])
+        keys = keys[self.by_key]
+        new = np.ones(len(keys), bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(1)
+        self.starts = np.flatnonzero(new)
+        self.counts = np.diff(self.starts, append=len(keys))
+        self.mask, self.value = keys[self.starts, :words], keys[self.starts, words:]
+        self.Pw = _pack(P).view("<u8")
+        # P and Q placed into their columns of the rows on [n]; a row is
+        # then one gather of each, ORed
+        has_n = tuple_index(n, r - 2).tuples[:, -1] == n
+        self.placed_p = np.zeros((len(P), len(has_n)), bool)
+        self.placed_p[:, ~has_n] = P
+        self.placed_q = np.zeros((len(Q), len(has_n)), bool)
+        self.placed_q[:, has_n] = Q
 
-    # each hit pairs its P row with every Q row of its key
-    reps = counts[hit_key]
-    q = np.repeat(starts[hit_key] - (np.cumsum(reps) - reps), reps)
-    q += np.arange(len(q))
-    q = by_key[q]
+    def rows(self, shard=0, of_shards=1):
+        """Every valid pair (P row, Q row) as a row in lex tuple order on
+        [n], for the Q keys whose index in sorted key order is shard
+        modulo of_shards; unsorted."""
+        starts, counts = self.starts[shard::of_shards], self.counts[shard::of_shards]
+        mask, value = self.mask[shard::of_shards], self.value[shard::of_shards]
 
-    # P and Q placed into their columns of the rows on [n]; a row is
-    # then one gather of each, ORed
-    has_n = tuple_index(n, r - 2).tuples[:, -1] == n
-    placed_p = np.zeros((len(P), len(has_n)), bool)
-    placed_p[:, ~has_n] = P
-    placed_q = np.zeros((len(Q), len(has_n)), bool)
-    placed_q[:, has_n] = Q
-    out = np.take(placed_p, np.repeat(hit_p, reps), axis=0)
-    for lo in range(0, len(q), _ROW_CHUNK):
-        out[lo : lo + _ROW_CHUNK] |= np.take(placed_q, q[lo : lo + _ROW_CHUNK], axis=0)
-    return out
+        # key g matches P row j where P agrees with it on its mask
+        Pw = self.Pw
+        step = max(1, _MATCH_CHUNK // max(1, Pw.size))
+        hit_key, hit_p = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for lo in range(0, len(starts), step):
+            ok = ((Pw[None] & mask[lo : lo + step, None]) == value[lo : lo + step, None]).all(2)
+            g, j = np.nonzero(ok)
+            hit_key.append(g + lo)
+            hit_p.append(j)
+        hit_key, hit_p = np.concatenate(hit_key), np.concatenate(hit_p)
+
+        # each hit pairs its P row with every Q row of its key
+        reps = counts[hit_key]
+        q = np.repeat(starts[hit_key] - (np.cumsum(reps) - reps), reps)
+        q += np.arange(len(q))
+        q = self.by_key[q]
+        out = np.take(self.placed_p, np.repeat(hit_p, reps), axis=0)
+        for lo in range(0, len(q), _ROW_CHUNK):
+            out[lo : lo + _ROW_CHUNK] |= np.take(self.placed_q, q[lo : lo + _ROW_CHUNK], axis=0)
+        return out
 
 
 def _signotopes(n, r, memo):
@@ -138,13 +151,14 @@ def _signotopes(n, r, memo):
         elif r == 1:
             out = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
         else:
-            out = _extend(_signotopes(n - 1, r, memo), _signotopes(n - 1, r - 1, memo), n, r)
+            out = _Join(_signotopes(n - 1, r, memo), _signotopes(n - 1, r - 1, memo), n, r).rows()
         memo[(n, r)] = out
     return memo[(n, r)]
 
 
-def _canonical(n, k, shard=0, of_shards=1):
-    """One shard of the canonical catalog, sorted, as record characters."""
+def _top_join(n, k):
+    """The set-up of the top level, which joins one row of each
+    {sigma, -sigma}; the lower levels are freed on return."""
     r = k + 2
     memo = {}
     P, Q = _signotopes(n - 1, r, memo), _signotopes(n - 1, r - 1, memo)
@@ -153,8 +167,11 @@ def _canonical(n, k, shard=0, of_shards=1):
         P = P[P[:, 0]]
     else:
         Q = Q[Q[:, 0]]
-    del memo  # frees the lower levels before the top join
-    rows = _extend(P, Q, n, r, shard, of_shards)
+    return _Join(P, Q, n, r)
+
+
+def _sorted_result(n, k, rows):
+    """Top-level rows, sorted, as record characters (written over rows)."""
     order = bit_order(rows)
     chars = bit_chars(rows)[order]
     chars.setflags(write=False)
@@ -200,24 +217,30 @@ def _check_case(n, k):
         raise InputError(f"need n >= k+2, got n={n} k={k}")
 
 
+def _check_shards(of_shards):
+    if of_shards < 1:
+        raise InputError(f"of_shards must be positive, got {of_shards}")
+
+
 def enumerate_chirotopes(n, k):
     """All degree-k chirotopes on [n] up to global sign, lex order."""
     _check_case(n, k)
-    return _canonical(n, k)
+    return _sorted_result(n, k, _top_join(n, k).rows())
 
 
 def partition_search(n, k, shard, of_shards):
-    """One shard of the catalog; the union over shards is exact.
+    """One shard of the catalog, sorted; the union over shards is exact.
 
     The shard joins the contraction keys whose index in sorted key order
     is shard modulo of_shards, so shards are disjoint and deterministic.
+    It builds the whole set-up of the join for its one slice; to run
+    every shard, enumerate_sharded builds it once.
     """
-    if of_shards < 1:
-        raise InputError(f"of_shards must be positive, got {of_shards}")
+    _check_shards(of_shards)
     if not 0 <= shard < of_shards:
         raise InputError(f"shard {shard} outside [0, {of_shards})")
     _check_case(n, k)
-    return _canonical(n, k, shard, of_shards)
+    return _sorted_result(n, k, _top_join(n, k).rows(shard, of_shards))
 
 
 def merge_results(results):
@@ -235,13 +258,39 @@ def merge_results(results):
     return EnumerationResult(n=n, k=k, chars=chars)
 
 
+# the join a pool worker takes its shards from, set by the pool's initializer
+_pool_join = None
+
+
+def _hold_join(join):
+    global _pool_join
+    _pool_join = join
+
+
+def _pool_rows(shard, of_shards):
+    return _pool_join.rows(shard, of_shards)
+
+
 def enumerate_sharded(n, k, of_shards, jobs=1):
-    """Run every shard, optionally on a process pool, and merge."""
-    task = partial(partition_search, n, k, of_shards=of_shards)
+    """Every shard of one join, on a process pool when jobs > 1, sorted
+    once.
+
+    The lower levels and the top set-up are built once, here; a shard
+    only matches its keys and gathers its rows.  Pool workers receive
+    the set-up through the pool's initializer (inherited under fork,
+    pickled once per worker otherwise) and return their rows unsorted.
+    """
+    _check_shards(of_shards)
+    _check_case(n, k)
+    join = _top_join(n, k)
     if jobs > 1:
         # the fork start method starts every worker at once: none idle
-        with ProcessPoolExecutor(max_workers=min(jobs, of_shards)) as pool:
-            parts = list(pool.map(task, range(of_shards)))
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, of_shards), initializer=_hold_join, initargs=(join,)
+        ) as pool:
+            parts = list(pool.map(partial(_pool_rows, of_shards=of_shards), range(of_shards)))
     else:
-        parts = [task(s) for s in range(of_shards)]
-    return merge_results(parts)
+        parts = [join.rows(s, of_shards) for s in range(of_shards)]
+    rows = np.concatenate(parts)
+    del parts  # the sort copies the rows once more
+    return _sorted_result(n, k, rows)

@@ -401,7 +401,7 @@ def test_enumerate_worker_crash_exits_two(monkeypatch):
     import polyom.enumeration as enumeration
 
     # the pool's workers run the patched shard function and die at once
-    monkeypatch.setattr(enumeration, "partition_search", _die)
+    monkeypatch.setattr(enumeration, "_pool_rows", _die)
     result = invoke(["enumerate", "--n", "6", "--k", "2", "--jobs", "2"])
     assert result.exit_code == 2
     assert result.stdout == ""

@@ -167,10 +167,12 @@ def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
     started = []
 
     class Recorder:
-        """Records max_workers and runs the tasks here; starts no process."""
+        """Records max_workers and runs the initializer and the tasks here;
+        starts no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -182,6 +184,7 @@ def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(enumeration_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(enumeration_module, "_pool_join", None)
     full = pm.enumerate_chirotopes(6, 2)
     for of_shards, jobs, workers in ((2, 4, 2), (3, 3, 3), (5, 2, 2), (1, 8, 1)):
         res = pm.enumerate_sharded(6, 2, of_shards=of_shards, jobs=jobs)
@@ -189,6 +192,50 @@ def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
         assert started.pop() == workers, (of_shards, jobs)
     assert pm.enumerate_sharded(6, 2, of_shards=3, jobs=1).count == full.count
     assert started == []
+
+
+def _count_join_builds(monkeypatch):
+    """Records (n, r) of every join set-up that is built."""
+    import polyom.enumeration as enumeration_module
+
+    builds = []
+    real = enumeration_module._Join.__init__
+
+    def spy(self, P, Q, n, r):
+        builds.append((n, r))
+        real(self, P, Q, n, r)
+
+    monkeypatch.setattr(enumeration_module._Join, "__init__", spy)
+    return builds
+
+
+@pytest.mark.parametrize("n, k", [(8, 3), (7, 1)])
+def test_enumerate_sharded_builds_each_level_once(monkeypatch, n, k):
+    builds = _count_join_builds(monkeypatch)
+    pm.enumerate_chirotopes(n, k)
+    plain = sorted(builds)
+    assert plain and len(set(plain)) == len(plain)
+    for of_shards in (1, 4, 7):
+        builds.clear()
+        pm.enumerate_sharded(n, k, of_shards, jobs=1)
+        assert sorted(builds) == plain, of_shards
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (7, 2), (8, 3), (8, 4), (9, 5)])
+def test_enumerate_sharded_bytes_equal_unsharded(n, k):
+    full = pm.enumerate_chirotopes(n, k).chars.tobytes()
+    for of_shards in (4, 7):
+        assert pm.enumerate_sharded(n, k, of_shards, jobs=1).chars.tobytes() == full, of_shards
+
+
+def test_enumerate_sharded_rejects_no_shards_before_joining(monkeypatch):
+    builds = _count_join_builds(monkeypatch)
+    for of_shards in (0, -1):
+        with pytest.raises(pm.InputError, match=f"^of_shards must be positive, got {of_shards}$"):
+            pm.enumerate_sharded(6, 2, of_shards)
+    with pytest.raises(pm.InputError, match=r"^need n >= k\+2, got n=4 k=3$"):
+        pm.enumerate_sharded(4, 3, 2)
+    assert builds == []
 
 
 def test_partition_validation():
