@@ -8,29 +8,34 @@ digest covers the record lines byte for byte, line endings included, so
 any edit below the header is detected on read, except that a file cut
 before its last newline reads as if it were there.
 
-Reading costs integer work where it can.  A body of count lines of the
-header's width is first read as an untagged catalog: its bytes are
-viewed as a (count, width + 1) matrix, Catalog checks the records on
-that matrix and makes their strings with one split.  If Catalog refuses
-them, the body goes line by line, which is where every error of the
-format is found.  Catalog accepts a block of records by whole-array
-tests and looks for the first faulty record only in a block that fails
-them, so errors name the same record either way.  A coordinate token
-spelled -?[0-9]+ is read with int(); any other goes to Fraction(str),
-which reads p/q, decimals, exponents, signs and underscores.  An
-exponent beyond 4300 is refused, as int() refuses an integer of more
-than 4300 digits.
+A catalog holds its records as one read-only character matrix, one row
+per record; record strings are made only for tagged lines, error
+messages and the records view.  An untagged catalog is written as that
+matrix with a newline column, and the digest is taken over the same
+buffer.  A body of count lines of the header's width is first read as
+an untagged catalog: its bytes are viewed as a (count, width + 1)
+matrix, and Catalog checks and keeps that matrix, less the newline
+column.  If Catalog refuses it, the body goes line by line, which is
+where every error of the format is found.  Catalog accepts a block of
+records by whole-array tests and looks for the first faulty record only
+in a block that fails them, so errors name the same record either way.
+A coordinate token spelled -?[0-9]+ is read with int(); any other goes
+to Fraction(str), which reads p/q, decimals, exponents, signs and
+underscores.  An exponent beyond 4300 is refused, as int() refuses an
+integer of more than 4300 digits.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .chirotope import ascending, char_signs, leading_signs, plus_minus, record_chars, records_of
+from .chirotope import (
+    ascending, char_signs, leading_signs, plus_minus, record_chars, record_lines, records_of,
+)
 from .combinat import comb_upto
 from .errors import CatalogIntegrityError, InputError
 from .points import _INTEGER, PointConfig, _fraction
@@ -38,72 +43,83 @@ from .points import _INTEGER, PointConfig, _fraction
 _CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporaries
 
 
-@dataclass(frozen=True)
 class Catalog:
-    """An immutable record list; witnesses align with records when tagged.
+    """A catalog: its records as one read-only (count, C(n, k+2)) uint8
+    matrix of record characters, chars, in strictly increasing order,
+    and witnesses, None for an untagged catalog, else a tuple holding a
+    PointConfig or None per record.
 
-    records is given as a tuple of strings or as a record character
-    matrix (uint8, ASCII), which is checked as it is and kept as the
-    tuple of its rows.  witnesses is None for an untagged catalog, else
-    a tuple holding a PointConfig or None per record.
+    records is given as such a matrix or as a sequence of record
+    strings, which becomes one at once; either way every record is
+    checked.  The records property gives the rows as strings, made on
+    first use.
     """
 
-    n: int
-    k: int
-    records: tuple
-    witnesses: tuple | None = None
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < self.k + 2:
-            raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={self.n} k={self.k}")
-        records, chars = self.records, None
-        if isinstance(records, np.ndarray):
-            chars, records = records, tuple(records_of(records))
-            object.__setattr__(self, "records", records)
+    def __init__(self, n, k, records, witnesses=None):
+        if k < 1 or n < k + 2:
+            raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={n} k={k}")
+        matrix = isinstance(records, np.ndarray)
+        first = len(records[0]) if len(records) else 0
         # comb(n, k + 2) only as far as the first record's length: a record
         # of another width is bad, and a large n and k must not cost comb
-        first = len(records[0]) if records else 0
-        width, unordered = comb_upto(self.n, self.k + 2, first), None
-        if records and first != width:
-            raise InputError(f"bad record for n={self.n} k={self.k}: {records[0]!r}")
-        for lo in range(0, len(records), _CHECK_BLOCK):
+        width = comb_upto(n, k + 2, first)
+        # the records before the first one of another width
+        chars = records[: len(records) * (first == width)] if matrix else record_chars(records, width)
+        at, unordered = len(chars), None  # the first faulty record, the first one out of order
+        for lo in range(0, len(chars), _CHECK_BLOCK):
             # one record of overlap, for the order check
-            block = records[lo : lo + _CHECK_BLOCK + 1]
-            # a string of another width ends the block's matrix
-            rows = record_chars(block, width) if chars is None else chars[lo : lo + len(block)]
-            if len(rows) < len(block) or not plus_minus(rows):
-                self._fault(block, char_signs(rows))
+            rows = chars[lo : lo + _CHECK_BLOCK + 1]
+            if not plus_minus(rows):
+                signs = char_signs(rows)
+                fault = (signs > 1).any(1) | (leading_signs(signs) != 1)
+                if fault.any():
+                    at = lo + int(fault.argmax())
+                    break
             up = ascending(rows)
             if unordered is None and not up.all():
-                unordered = lo + up.argmin()
-        if unordered is not None:
-            prev, rec = self.records[unordered : unordered + 2]
-            raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
-        if self.witnesses is not None and len(self.witnesses) != len(self.records):
+                unordered = lo + int(up.argmin()) + 1
+        if at < len(records) or unordered is not None:
+            shown = records_of(records) if matrix else records
+            if at == len(records):
+                prev, rec = shown[unordered - 1 : unordered + 1]
+                raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
+            if at < len(chars) and (char_signs(chars[at]) <= 1).all():
+                raise InputError(f"record not canonical (first nonzero sign must be +): {shown[at]!r}")
+            raise InputError(f"bad record for n={n} k={k}: {shown[at]!r}")
+        if witnesses is not None and len(witnesses) != len(chars):
             raise InputError("witness list does not match record count")
+        chars.setflags(write=False)
+        self.n, self.k, self.chars, self.witnesses = n, k, chars, witnesses
 
-    def _fault(self, block, signs):
-        """Raise at the first record of a block that is of another width,
-        holds a non-sign or is not canonical, if there is one; signs are
-        the rows of the leading records of the right width."""
-        bad = (signs > 1).any(1)
-        fault = bad | (leading_signs(signs) != 1)
-        at = int(fault.argmax()) if fault.any() else len(signs)
-        if at < len(block):
-            if at == len(signs) or bad[at]:
-                raise InputError(f"bad record for n={self.n} k={self.k}: {block[at]!r}")
-            raise InputError(f"record not canonical (first nonzero sign must be +): {block[at]!r}")
+    @cached_property
+    def records(self):
+        """The records as a tuple of strings."""
+        return tuple(records_of(self.chars))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.chars)
+
+    def __eq__(self, other):
+        if not isinstance(other, Catalog):
+            return NotImplemented
+        mine, theirs = ((c.n, c.k, c.witnesses, c.chars.tobytes()) for c in (self, other))
+        return mine == theirs
 
     @property
     def tagged(self):
         return self.witnesses is not None
 
-    def index_of(self):
-        """Record string -> position."""
-        return {rec: i for i, rec in enumerate(self.records)}
+    def positions(self, rows):
+        """The position of each row of a record character matrix among
+        the records, -1 for a row that is none.  The records strictly
+        increase, so the matrix is its own index: one sorted search,
+        whose position for a row after every record is clamped to the last."""
+        if not len(self):
+            return np.full(len(rows), -1)
+        keys = self.chars.view(f"S{self.chars.shape[1]}")[:, 0]
+        wanted = np.ascontiguousarray(rows).view(keys.dtype)[:, 0]
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, at, -1)
 
     def realizable_count(self):
         if self.witnesses is None:
@@ -111,29 +127,27 @@ class Catalog:
         return sum(1 for w in self.witnesses if w is not None)
 
     def with_witnesses(self, witnesses):
-        return Catalog(self.n, self.k, self.records, tuple(witnesses))
+        return Catalog(self.n, self.k, self.chars, tuple(witnesses))
 
 
 def from_enumeration(result):
-    """Catalog of an EnumerationResult, untagged."""
+    """Catalog of an EnumerationResult, untagged: its character matrix."""
     return Catalog(result.n, result.k, result.chars)
 
 
 def _tagged_line(record, witness):
-    if witness is None:
-        return f"{record} U"
-    flat = " ".join(f"{x} {y}" for x, y in witness.points)
-    return f"{record} R {flat}"
+    tag = "U" if witness is None else "R " + " ".join(f"{x} {y}" for x, y in witness.points)
+    return f"{record} {tag}\n"
 
 
 def format_catalog(catalog):
-    lines = list(catalog.records)
     if catalog.tagged:
-        lines = list(map(_tagged_line, lines, catalog.witnesses))
-    body = "\n".join(lines + [""])
-    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-    head = f"n={catalog.n} k={catalog.k} count={len(catalog.records)} sha256={digest}\n"
-    return head + body
+        body = "".join(map(_tagged_line, catalog.records, catalog.witnesses)).encode("ascii")
+    else:
+        body = record_lines(catalog.chars).data
+    digest = hashlib.sha256(body).hexdigest()
+    head = f"n={catalog.n} k={catalog.k} count={len(catalog)} sha256={digest}\n"
+    return head + str(body, "ascii")
 
 
 def write_catalog(path, catalog):
@@ -205,12 +219,7 @@ def parse_catalog(text):
                 raise InputError(f"line {lineno}: bad witness: {exc}") from exc
         else:
             raise InputError(f"line {lineno}: unknown tag {rest[0]!r}")
-    return Catalog(
-        n=n,
-        k=k,
-        records=tuple(records),
-        witnesses=tuple(witnesses) if tagged else None,
-    )
+    return Catalog(n, k, records, tuple(witnesses) if tagged else None)
 
 
 def read_catalog(path):

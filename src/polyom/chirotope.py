@@ -194,16 +194,16 @@ def record_chars(records, width):
     return np.frombuffer(data, np.uint8).reshape(m, width if m else 1)
 
 
+def record_lines(chars):
+    """The rows of a record character matrix, each followed by a newline,
+    as one (m, width + 1) uint8 matrix."""
+    return np.concatenate([chars, np.full((len(chars), 1), ord("\n"), np.uint8)], axis=1)
+
+
 def records_of(chars):
     """The rows of a record character matrix as strings, from one split."""
-    lines = np.empty((len(chars), chars.shape[1] + 1), np.uint8)
-    lines[:, :-1] = chars
-    lines[:, -1] = ord("\n")
-    text = str(lines.data, "ascii")
-    del lines  # the strings need not share the peak with the bytes
-    records = text.split("\n")
-    records.pop()
-    return records
+    # the lines are freed before the split: the strings need not share the peak with them
+    return str(record_lines(chars).data, "ascii").split("\n")[:-1]
 
 
 def record_order(chars):

@@ -16,7 +16,7 @@ import click
 
 from . import catalog as cat_mod
 from .axioms import check_cocircuit_axioms, check_degree_k, las_vergnas_scan
-from .chirotope import Chirotope, cocircuit_vectors, from_text, signs_from_string, to_text
+from .chirotope import Chirotope, char_signs, cocircuit_vectors, from_text, to_text
 from .enumeration import enumerate_chirotopes, enumerate_sharded, partition_search
 from .errors import DegenerateConfigError, InputError, SoundnessError
 from .points import chirotope_of, parse_points
@@ -125,9 +125,8 @@ def scan(catalog_path):
     """Extreme-point census over all reorientations of each record."""
     catal = cat_mod.read_catalog(catalog_path)
     found_total = 0
-    for i, rec in enumerate(catal.records):
-        chi = Chirotope(catal.n, catal.k, signs_from_string(rec))
-        rep = las_vergnas_scan(chi)
+    for i, signs in enumerate(char_signs(catal.chars)):
+        rep = las_vergnas_scan(Chirotope(catal.n, catal.k, signs))
         found_total += 1 if rep.found else 0
         hist = ";".join(f"{c}:{v}" for c, v in sorted(rep.histogram.items()))
         best = ",".join(map(str, rep.best_set)) if rep.best_set else "-"

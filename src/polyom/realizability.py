@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chirotope import leading_signs, records_of, sign_chars
+from .chirotope import char_signs, leading_signs, sign_chars
 from .errors import InputError, SoundnessError
 from .points import PointConfig, check_draw, chirotope_of, draw_uniform
 
@@ -80,7 +80,6 @@ def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
     n, k = catalog.n, catalog.k
     used = [check_draw(n, k, r) for r in ranges[:trials]]
     witnesses = list(catalog.witnesses) if catalog.tagged else [None] * len(catalog)
-    index = catalog.index_of()
     degenerate = 0
     new = 0
     for lo in range(0, trials, TRIAL_BLOCK):
@@ -89,17 +88,16 @@ def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
         X, Y, signs, uniform = draw_uniform(
             rngs, [used[t % len(ranges)] for t in block], n, k, max_tries
         )
-        recs = records_of(sign_chars(signs * leading_signs(signs)[:, None]))
-        for i, (t, ok, rec) in enumerate(zip(block, uniform.tolist(), recs)):
+        rows = sign_chars(signs * leading_signs(signs)[:, None])
+        for i, (t, ok, pos) in enumerate(zip(block, uniform.tolist(), catalog.positions(rows).tolist())):
             if not ok:
                 degenerate += 1
                 continue
-            pos = index.get(rec)
-            if pos is None:
+            if pos < 0:
                 config = PointConfig(zip(X[i].tolist(), Y[i].tolist()))
                 raise SoundnessError(
                     f"trial {t} (seed {seed}, range {ranges[t % len(ranges)]}) produced a "
-                    f"sign map outside the catalog: {rec} from {config!r}"
+                    f"sign map outside the catalog: {rows[i].tobytes().decode()} from {config!r}"
                 )
             if witnesses[pos] is None:
                 witnesses[pos] = PointConfig(zip(X[i].tolist(), Y[i].tolist()))
@@ -132,10 +130,10 @@ def verify_catalog_witnesses(catalog):
     if not catalog.tagged:
         return ()
     bad = []
-    for i, (rec, wit) in enumerate(zip(catalog.records, catalog.witnesses)):
+    for i, (signs, wit) in enumerate(zip(char_signs(catalog.chars), catalog.witnesses)):
         if wit is None:
             continue
-        if len(wit) != catalog.n or not verify_witness(rec, wit, catalog.k):
+        if len(wit) != catalog.n or not (chirotope_of(wit, catalog.k).canonicalize().signs == signs).all():
             bad.append(i)
     return tuple(bad)
 

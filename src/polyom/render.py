@@ -37,6 +37,8 @@ def render_svg(
         raise InputError(f"rendering degree {k} needs at least {k + 1} points")
     if samples < 2:
         raise InputError("need at least 2 samples per curve")
+    if width < 1 or height < 1:
+        raise InputError(f"need a width and height of at least 1, got {width}x{height}")
     pts = config.points
     pxs = [p[0] for p in pts]
     pys = [p[1] for p in pts]

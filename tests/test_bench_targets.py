@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "polybench"))
 import spans  # noqa: E402
 
 import polyom as pm  # noqa: E402
+from polyom.chirotope import records_of  # noqa: E402
 
 
 def test_every_traced_target_resolves():
@@ -51,3 +52,20 @@ def test_cocircuit_axioms_ignores_uniform_keyword():
         assert pm.check_cocircuit_axioms(M, uniform=False) == want
         verdicts.add(want.axiom or "PASS")
     assert verdicts == {"PASS", "C3"}
+
+
+def test_catalog_keeps_the_contract_the_workloads_read(tmp_path):
+    """workloads.py indexes and draws from `records`, encodes its items,
+    takes len() and compares catalogs read back with those written."""
+    result = pm.enumerate_chirotopes(6, 2)
+    cat = pm.from_enumeration(result)
+    assert type(cat.records) is tuple and all(type(rec) is str for rec in cat.records)
+    assert cat.records == tuple(records_of(result.chars)) == tuple(result.strings())
+    assert len(cat) == result.count == 74
+    assert pm.Catalog(6, 2, cat.records) == cat == pm.Catalog(6, 2, result.chars)
+    assert pm.Catalog(6, 2, cat.records[1:]) != cat
+    tagged, _ = pm.realize_random(cat, 300, seed=1)
+    assert tagged.realizable_count() > 0
+    pm.write_catalog(tmp_path / "t.cat", tagged)
+    back = pm.read_catalog(tmp_path / "t.cat")
+    assert back == tagged and back != cat and back.records == cat.records

@@ -11,6 +11,7 @@ import pytest
 
 import polyom as pm
 from polyom.catalog import Catalog, format_catalog, from_enumeration, parse_catalog
+from polyom.chirotope import records_of
 from test_points import reference_points
 
 
@@ -124,11 +125,21 @@ def test_record_validation():
         Catalog(4, 2, ("+",)).with_witnesses([None, None])
 
 
-def test_index_of():
-    cat = from_enumeration(pm.enumerate_chirotopes(6, 2))
-    idx = cat.index_of()
-    assert idx["+" * 15] == 0
-    assert all(cat.records[i] == rec for rec, i in idx.items())
+def test_positions():
+    cat = from_enumeration(pm.enumerate_chirotopes(7, 2))
+    index = {rec: i for i, rec in enumerate(records_of(cat.chars))}
+    assert cat.positions(cat.chars).tolist() == list(range(len(cat)))
+    # each record with one column flipped: absent unless the dict holds it
+    rows = np.repeat(cat.chars, 3, axis=0)
+    cols = np.arange(len(rows)) * 7 % rows.shape[1]
+    rows[np.arange(len(rows)), cols] ^= ord("+") ^ ord("-")
+    want = [index.get(rec, -1) for rec in records_of(rows)]
+    assert cat.positions(rows).tolist() == want
+    assert {pos < 0 for pos in want} == {True, False}
+    assert Catalog(7, 2, ()).positions(rows).tolist() == [-1] * len(rows)
+    # the store is read-only; a writable matrix handed to Catalog stays writable
+    held = Catalog(7, 2, rows[:0]).chars, Catalog(7, 2, cat.chars.copy()).chars
+    assert not any(chars.flags.writeable for chars in held) and rows.flags.writeable
 
 
 def test_non_canonical_records_rejected():

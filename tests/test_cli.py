@@ -275,6 +275,15 @@ def test_render_beyond_float_range_exits_two(tmp_path, far):
     assert "float range" in result.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--width", "0"), ("--height", "-1")])
+def test_render_figure_below_one_pixel_exits_two(tmp_path, flag, value):
+    pts = write(tmp_path / "pts.txt", CUBIC)
+    result = invoke(["render", pts, "--k", "1", flag, value])
+    assert (result.exit_code, result.stdout) == (2, "")
+    size = "0x480" if flag == "--width" else "640x-1"
+    assert result.stderr == f"error: need a width and height of at least 1, got {size}\n"
+
+
 def test_catalog_tamper_detected_on_read(tmp_path):
     cat_path = tmp_path / "c.cat"
     invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])

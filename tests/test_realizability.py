@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import polyom as pm
@@ -136,7 +137,7 @@ def reference_search(catalog, trials, seed, ranges, max_tries=200):
     """realize_random one trial at a time, through the public helpers."""
     n, k = catalog.n, catalog.k
     witnesses = [None] * len(catalog)
-    index = catalog.index_of()
+    index = {rec: i for i, rec in enumerate(catalog.records)}
     degenerate = 0
     for t in range(trials):
         rng_range = ranges[t % len(ranges)]
@@ -182,10 +183,17 @@ def test_block_search_matches_per_trial_reference(n, k, ranges, max_tries):
         assert degenerate > 0
 
 
-@pytest.mark.parametrize("dropped, ranges", [(22, (8,)), (3, DEFAULT_RANGES)])
+@pytest.mark.parametrize(
+    "dropped, ranges",
+    # the first record, and the last ten: a drawn row sorts before, or
+    # after, every record of the holed catalog
+    [(22, (8,)), (3, DEFAULT_RANGES), (0, DEFAULT_RANGES), (slice(64, None), DEFAULT_RANGES)],
+)
 def test_block_search_raises_at_reference_trial(dropped, ranges):
     full = catalog(6, 2)
-    holed = Catalog(6, 2, tuple(r for i, r in enumerate(full.records) if i != dropped))
+    kept = np.ones(len(full), bool)
+    kept[dropped] = False
+    holed = Catalog(6, 2, tuple(r for r, keep in zip(full.records, kept) if keep))
     trials = 3 * TRIAL_BLOCK + 7
     with pytest.raises(pm.SoundnessError) as want:
         reference_search(holed, trials, 7, ranges)

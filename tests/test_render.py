@@ -67,3 +67,8 @@ def test_validation():
         pm.render_svg(pm.PointConfig([(0, 0), (1, 1)]), 2)
     with pytest.raises(pm.InputError):
         pm.render_svg(cubic_config(), 2, samples=1)
+    for width, height in ((0, 480), (640, -1), (0, 0)):
+        with pytest.raises(pm.InputError) as info:
+            pm.render_svg(cubic_config(), 2, width=width, height=height)
+        assert str(info.value) == f"need a width and height of at least 1, got {width}x{height}"
+    assert 'width="1" height="1"' in pm.render_svg(cubic_config(), 2, width=1, height=1)
