@@ -27,6 +27,7 @@ integer of more than 4300 digits.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from fractions import Fraction
 from functools import cached_property
@@ -127,7 +128,18 @@ class Catalog:
         return sum(1 for w in self.witnesses if w is not None)
 
     def with_witnesses(self, witnesses):
-        return Catalog(self.n, self.k, self.chars, tuple(witnesses))
+        """The same records, tagged with one PointConfig or None each.
+
+        The records were checked when this catalog was made and chars is
+        read-only, so the tagged catalog shares them unchecked; only the
+        witness count is checked.
+        """
+        witnesses = tuple(witnesses)
+        if len(witnesses) != len(self):
+            raise InputError("witness list does not match record count")
+        tagged = copy.copy(self)
+        tagged.witnesses = witnesses
+        return tagged
 
 
 def from_enumeration(result):

@@ -37,7 +37,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import ceil, comb, lcm, log
 
 import numpy as np
 
@@ -354,20 +354,70 @@ def check_draw(n, k, coordinate_range):
 
 
 def _draw(rng, n, r):
-    xs = sorted(rng.sample(range(-r, r + 1), n))
-    return xs, [rng.randint(-r, r) for _ in xs]
+    """sorted(rng.sample(range(-r, r + 1), n)) and then n values of
+    rng.randint(-r, r), drawn from rng.getrandbits directly.
+
+    The getrandbits calls are the ones CPython 3.10-3.13 makes for those
+    two stdlib calls, in the same order, so the values and the state rng
+    is left in are the same, and every seed keeps the configurations,
+    witnesses and tagged catalogs it gave through the stdlib calls; only
+    their Python frames per value are saved.  An index below m is
+    getrandbits(m.bit_length()), drawn again while it is m or more.
+    sample keeps a pool list when the population w = 2r+1 is at most
+    setsize, moving the last unchosen value into each chosen slot, and
+    otherwise a set of chosen indices, drawing again on a repeat.
+    randint is -r plus an index below w.  Python does not promise that
+    sample and randint keep these algorithms; this draw rests on
+    getrandbits alone.
+    """
+    getrandbits = rng.getrandbits
+    w = 2 * r + 1
+    bits = w.bit_length()
+    setsize = 21
+    if n > 5:
+        setsize += 4 ** ceil(log(n * 3, 4))
+    xs = []
+    if w <= setsize:
+        pool = list(range(-r, r + 1))
+        for m in range(w, w - n, -1):
+            b = m.bit_length()
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
+            xs.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        chosen = set()
+        for _ in range(n):
+            j = getrandbits(bits)
+            while j >= w or j in chosen:
+                j = getrandbits(bits)
+            chosen.add(j)
+            xs.append(j - r)
+    xs.sort()
+    ys = []
+    for _ in range(n):
+        j = getrandbits(bits)
+        while j >= w:
+            j = getrandbits(bits)
+        ys.append(j - r)
+    return xs, ys
 
 
 def draw_uniform(rngs, ranges, n, k, max_tries):
     """One configuration per generator, redrawn until its map is uniform.
 
     Generator i draws n distinct x-values from [-r, r], r = ranges[i],
-    sorts them, then draws one y-value per point in x-order.  The draws
-    of all generators are signed in one batch; a generator whose map has
-    a zero sign draws again from its own state, at most max_tries draws
-    in all.  Returns (X, Y, signs, uniform): the int64 (T, n)
-    coordinates and int8 (T, C(n, k+2)) signs of each generator's last
-    draw, and the mask of the generators that ended uniform.
+    sorts them, then draws one y-value per point in x-order: the values
+    of sorted(rng.sample(range(-r, r + 1), n)) and n calls of
+    rng.randint(-r, r), which _draw replays on rng.getrandbits word for
+    word, so that a seed keeps its configurations, redraws included,
+    without the stdlib frames per value.  The draws of all generators
+    are signed in one batch; a generator whose map has a zero sign draws
+    again from its own state, at most max_tries draws in all.  Returns
+    (X, Y, signs, uniform): the int64 (T, n) coordinates and int8
+    (T, C(n, k+2)) signs of each generator's last draw, and the mask of
+    the generators that ended uniform.
     """
     T = len(rngs)
     X = np.zeros((T, n), np.int64)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import polyom as pm
+from polyom import catalog as catalog_module
 from polyom.catalog import Catalog, format_catalog, from_enumeration, parse_catalog
 from polyom.chirotope import records_of
 from test_points import reference_points
@@ -140,6 +141,29 @@ def test_positions():
     # the store is read-only; a writable matrix handed to Catalog stays writable
     held = Catalog(7, 2, rows[:0]).chars, Catalog(7, 2, cat.chars.copy()).chars
     assert not any(chars.flags.writeable for chars in held) and rows.flags.writeable
+
+
+def test_with_witnesses_shares_the_checked_records(monkeypatch):
+    cat = from_enumeration(pm.enumerate_chirotopes(6, 2))
+    untagged_records = cat.records
+
+    def checked(*args):
+        raise AssertionError("record check ran again")
+
+    for name in ("record_chars", "plus_minus", "char_signs", "leading_signs", "ascending"):
+        monkeypatch.setattr(catalog_module, name, checked)
+    wits = [None] * len(cat)
+    wits[3] = pm.PointConfig([(0, 0), (1, 1), (2, 4), (3, 9), (4, 16), (5, 25)])
+    tagged = cat.with_witnesses(iter(wits))
+    assert tagged.chars is cat.chars and tagged.witnesses == tuple(wits)
+    assert (tagged.n, tagged.k, tagged.records) == (6, 2, untagged_records)
+    assert tagged.realizable_count() == 1 and not cat.tagged
+    # the witness count is still checked, before any record work
+    for count in (len(cat) - 1, len(cat) + 1, 0):
+        with pytest.raises(pm.InputError, match="witness list does not match record count"):
+            cat.with_witnesses([None] * count)
+    monkeypatch.undo()
+    assert tagged == Catalog(6, 2, cat.chars, tuple(wits))
 
 
 def test_non_canonical_records_rejected():

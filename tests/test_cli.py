@@ -190,6 +190,28 @@ def test_realize_tagged_bytes_are_pinned(tmp_path):
     assert digest == "8825b05aa5ed739b0c039a109e88ed26744a11a93c8570124a55ae78e3b35561"
 
 
+@pytest.mark.parametrize(
+    "range_, output, digest",
+    [
+        # 2r+1 = 17: sample draws the x-values from a pool
+        ("8", "realizable=64 unknown=10 trials=300 seed=0 total=74\n",
+         "9751108882d9f83c3c13fafbaf60887908a6c95644c726a94209831fa985fc3b"),
+        # 2r+1 = 2000001: sample draws indices into a set
+        ("1000000", "realizable=62 unknown=12 trials=300 seed=0 total=74\n",
+         "aa1435e860ce9fb203f4837794752de7b59e0e52e757413a661d8799c2b115a2"),
+    ],
+)
+def test_realize_single_range_bytes_are_pinned(tmp_path, range_, output, digest):
+    cat_path = str(tmp_path / "6_2.cat")
+    invoke(["enumerate", "--n", "6", "--k", "2", "--out", cat_path])
+    out = tmp_path / "tagged.cat"
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "300", "--seed", "0",
+                     "--range", range_, "--out", str(out)])
+    assert result.exit_code == 0
+    assert result.output == output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_realize_on_crlf_catalog_exits_two(tmp_path):
     cat_path = tmp_path / "c.cat"
     invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])

@@ -378,14 +378,19 @@ def test_rational_configs_match_bareiss():
             assert pm.chi_point(config, k, flipped) == -want[c]
 
 
+def stdlib_draw(rng, n, r):
+    # the draw as the stdlib calls that _draw replays
+    xs = sorted(rng.sample(range(-r, r + 1), n))
+    return xs, [rng.randint(-r, r) for _ in xs]
+
+
 def test_random_config_matches_draw_loop_reference():
     # the draw sequence, redraws included, of a plain per-draw loop with
     # Bareiss signs: x distinct and sorted, then y per point in x-order
     def reference(n, k, seed, r, max_tries):
         rng = random.Random(seed)
         for _ in range(max_tries):
-            xs = sorted(rng.sample(range(-r, r + 1), n))
-            ys = [rng.randint(-r, r) for _ in xs]
+            xs, ys = stdlib_draw(rng, n, r)
             if 0 not in bareiss_signs(xs, ys, k):
                 return pm.PointConfig(zip(xs, ys))
         return None
@@ -402,3 +407,48 @@ def test_random_config_matches_draw_loop_reference():
                     assert pm.random_config(n, k, seed, r, max_tries) == want
                 redrawn += max_tries == 3 and want != reference(n, k, seed, r, 1)
     assert redrawn > 0
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [
+        # sample keeps a pool while 2r+1 <= 21 for n <= 5 ...
+        (3, 10), (3, 11), (5, 10), (5, 11),
+        # ... and while 2r+1 <= 21 + 4**3 for 6 <= n <= 21
+        (6, 42), (6, 43), (9, 42), (9, 43), (21, 42), (21, 43),
+        # 2r+1 == n: the sample is the whole range
+        (3, 1), (5, 2), (7, 3),
+        # getrandbits on one whole 32-bit word (2r+1 = 2**32 - 1), then on several
+        (6, 2**31 - 1), (6, 2**32 - 1), (6, 2**32), (4, 2**40 + 3), (9, 2**62 - 1),
+        (6, 8), (9, 10**6),
+    ],
+)
+def test_draw_replays_sample_and_randint(n, r):
+    for seed in range(25):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert points._draw(mine, n, r) == stdlib_draw(theirs, n, r)
+            assert mine.getstate() == theirs.getstate()
+
+
+# (seed, n, r) -> (xs, ys) of the first draw from random.Random(seed),
+# computed with stdlib_draw on CPython 3.11: pins the sequence even if the
+# stdlib's own algorithms change
+DRAW_GOLDEN = [
+    (0, 6, 8, [-8, -4, -1, 0, 4, 5], [4, 1, 7, 3, -2, 8]),
+    (1, 6, 42, [-34, -27, -25, -10, 21, 30], [15, 18, 41, 6, -16, -30]),
+    (2, 6, 43, [-36, -33, -32, -22, 3, 42], [-4, -11, 34, -16, 34, -39]),
+    (3, 5, 10, [-6, -3, 1, 7, 8], [9, 5, 10, 8, -8]),
+    (4, 5, 11, [-8, -4, -2, 1, 4], [-7, -9, -9, -11, 1]),
+    (5, 9, 10**6,
+     [-464293, -248097, 306319, 447971, 551679, 555640, 667641, 764776, 976461],
+     [367409, 934255, 111574, -939172, 762337, -23519, 627303, 978362, -477699]),
+    (6, 4, 2**40,
+     [-939474182087, -743794043754, -459559560568, 306545389617],
+     [-1001714621831, 1049143249572, -228484033193, -684265377431]),
+]
+
+
+@pytest.mark.parametrize("seed, n, r, xs, ys", DRAW_GOLDEN)
+def test_draw_golden(seed, n, r, xs, ys):
+    assert points._draw(random.Random(seed), n, r) == (xs, ys)
