@@ -8,17 +8,27 @@ digest covers the record lines byte for byte, line endings included, so
 any edit below the header is detected on read, except that a file cut
 before its last newline reads as if it were there.
 
+Catalog files go in and out as bytes.  A catalog is written over the
+file that is there, in place, and a regular file is then cut to the new
+length: its blocks are not freed and allocated again, which on some
+file systems waits on the disk.  A write torn part way leaves the new
+header over old or missing lines, which the count and the digest catch
+on read.  A file that is not ASCII is refused, naming its first other
+byte.
+
 A catalog holds its records as one read-only character matrix, one row
 per record; record strings are made only for tagged lines, error
 messages and the records view.  An untagged catalog is written as that
 matrix with a newline column, and the digest is taken over the same
-buffer.  A body of count lines of the header's width is first read as
-an untagged catalog: its bytes are viewed as a (count, width + 1)
-matrix, and Catalog checks and keeps that matrix, less the newline
-column.  If Catalog refuses it, the body goes line by line, which is
-where every error of the format is found.  Catalog accepts a block of
-records by whole-array tests and looks for the first faulty record only
-in a block that fails them, so errors name the same record either way.
+buffer.  The reader counts, hashes and views the body in the file's
+bytes, without copying it.  A body of count lines of the header's
+width is first read as an untagged catalog: its bytes are viewed as a
+(count, width + 1) matrix, and Catalog checks and keeps that matrix,
+less the newline column.  If Catalog refuses it, the body is decoded
+and goes line by line, which is where every error of the format is
+found.  Catalog accepts a block of records by whole-array tests and
+looks for the first faulty record only in a block that fails them, so
+errors name the same record either way.
 A coordinate token spelled -?[0-9]+ is read with int(); any other goes
 to Fraction(str), which reads p/q, decimals, exponents, signs and
 underscores.  An exponent beyond 4300 is refused, as int() refuses an
@@ -29,6 +39,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
+import stat
 from fractions import Fraction
 from functools import cached_property
 
@@ -153,27 +165,52 @@ def _tagged_line(record, witness):
 
 
 def format_catalog(catalog):
+    """The bytes of the catalog's file: the header, then the record lines."""
     if catalog.tagged:
         body = "".join(map(_tagged_line, catalog.records, catalog.witnesses)).encode("ascii")
     else:
         body = record_lines(catalog.chars).data
     digest = hashlib.sha256(body).hexdigest()
     head = f"n={catalog.n} k={catalog.k} count={len(catalog)} sha256={digest}\n"
-    return head + str(body, "ascii")
+    return head.encode("ascii") + body
 
 
 def write_catalog(path, catalog):
+    """Write the catalog's file to path, over what is there.
+
+    The file is opened as open(path, "w") would open it, but without
+    truncation: a file's blocks are written over rather than freed and
+    allocated again.  A regular file is then cut at the end of the new
+    bytes; a FIFO or device is not.
+    """
     data = format_catalog(catalog)
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
-def parse_catalog(text):
-    if not text:
+def parse_catalog(data):
+    """The catalog in the bytes of its file, which read_catalog has found
+    to be ASCII.  A str is counted and hashed as its ASCII encoding, with
+    '?' for any other character, and its own lines are read."""
+    text = None
+    if isinstance(data, str):
+        text, data = data, data.encode("ascii", errors="replace")
+    if not data:
         raise InputError("empty catalog file")
-    head, _, body = text.partition("\n")
-    if body and not body.endswith("\n"):
-        body += "\n"  # a missing last newline is read as present
+    # the header ends at the first newline; a character is one byte, so
+    # an offset into data is one into text
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)
+    start = end + 1
+    if start < len(data) and not data.endswith(b"\n"):
+        # a missing last newline is read as present
+        data += b"\n"
+        if text is not None:
+            text += "\n"
+    head = data[:end].decode("ascii") if text is None else text[:end]
     try:
         fields = dict(part.split("=", 1) for part in head.split())
         n = int(fields["n"])
@@ -182,22 +219,25 @@ def parse_catalog(text):
         digest = fields["sha256"]
     except (ValueError, KeyError) as exc:
         raise InputError(f"malformed catalog header {head!r}") from exc
-    data = body.encode("ascii", errors="replace")
-    lines = data.count(b"\n")
+    body = memoryview(data)[start:]
+    lines = data.count(b"\n", start)
     if lines != count:
         raise CatalogIntegrityError(f"header says {count} records, file has {lines}")
-    if hashlib.sha256(data).hexdigest() != digest:
+    if hashlib.sha256(body).hexdigest() != digest:
         raise CatalogIntegrityError("catalog checksum mismatch")
-    if count and len(data) == count * (comb_upto(n, k + 2, len(data)) + 1):
+    if count and len(body) == count * (comb_upto(n, k + 2, len(body)) + 1):
         # lines of the header's width: when Catalog accepts them as records,
         # none holds a newline before its last byte, so with count newlines
         # in the body each ends in one, and the loop below would read the
         # same untagged catalog; on any fault the loop reports the first
         try:
-            return Catalog(n=n, k=k, records=np.frombuffer(data, np.uint8).reshape(count, -1)[:, :-1])
+            rows = np.frombuffer(data, np.uint8, offset=start).reshape(count, -1)
+            return Catalog(n=n, k=k, records=rows[:, :-1])
         except InputError:
             pass
-    body_lines = body.split("\n")[:-1]
+    # only the loop reads the body as str, whose split() knows more
+    # whitespace than bytes.split() does
+    body_lines = (str(body, "ascii") if text is None else text[start:]).split("\n")[:-1]
     records = []
     witnesses = []
     tagged = None
@@ -235,11 +275,13 @@ def parse_catalog(text):
 
 
 def read_catalog(path):
-    # newline="" reads line endings as they are on disk, so the digest
-    # checks the file's bytes: a CRLF copy of a catalog fails it
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # the file's bytes as they are on disk, so the digest checks them:
+    # a CRLF copy of a catalog fails it
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
         try:
-            text = fh.read()
+            data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not an ASCII catalog ({exc})") from exc
-    return parse_catalog(text)
+    return parse_catalog(data)

@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 a check or soundness failure, 2 malformed
-input (also what click uses for bad flags) or a worker process of
-`enumerate --jobs` that died.  Summary lines are
-machine-parseable, one key=value pair per token.
+input (also what click uses for bad flags), an --out catalog that
+cannot be written or a worker process of `enumerate --jobs` that died.
+Summary lines are machine-parseable, one key=value pair per token.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ def _guarded(fn):
             sys.exit(1)
 
     return inner
+
+
+def _write_catalog(path, catalog):
+    """write_catalog, with a file that cannot be written as bad input."""
+    try:
+        cat_mod.write_catalog(path, catalog)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write catalog ({exc.strerror or exc})") from exc
 
 
 @click.group()
@@ -96,7 +104,7 @@ def enumerate_cmd(n, k, out, shards, shard, jobs):
     else:
         result = enumerate_chirotopes(n, k)
     if out:
-        cat_mod.write_catalog(out, cat_mod.from_enumeration(result))
+        _write_catalog(out, cat_mod.from_enumeration(result))
     click.echo(result.summary())
 
 
@@ -113,7 +121,7 @@ def realize(catalog_path, trials, seed, range_, out):
     ranges = (range_,) if range_ is not None else DEFAULT_RANGES
     tagged, stats = realize_random(catal, trials, seed, ranges=ranges)
     if out:
-        cat_mod.write_catalog(out, tagged)
+        _write_catalog(out, tagged)
     report = coverage_report(tagged)
     click.echo(stats.summary() + " " + f"total={report.total}")
 

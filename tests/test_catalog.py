@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -44,14 +45,14 @@ def test_empty_catalog_roundtrip():
 
 
 def test_header_fields():
-    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2)))
+    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).decode("ascii")
     head = text.splitlines()[0]
     assert head.startswith("n=5 k=2 count=5 sha256=")
     assert len(head.split("sha256=")[1]) == 64
 
 
 def test_tampered_record_detected():
-    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2)))
+    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).decode("ascii")
     lines = text.splitlines(keepends=True)
     body = lines[2]
     flipped = ("+" if body[0] == "-" else "-") + body[1:]
@@ -60,7 +61,7 @@ def test_tampered_record_detected():
 
 
 def test_missing_record_detected():
-    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2)))
+    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).decode("ascii")
     lines = text.splitlines(keepends=True)
     with pytest.raises(pm.CatalogIntegrityError):
         parse_catalog("".join(lines[:-1]))
@@ -264,6 +265,70 @@ def test_crlf_catalog_fails_the_checksum(tmp_path):
     assert pm.read_catalog(path) == cat
 
 
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
+    small = from_enumeration(pm.enumerate_chirotopes(5, 2))
+    large = from_enumeration(pm.enumerate_chirotopes(7, 2))
+    path = tmp_path / "c.cat"
+    for cat in (large, small, large, small.with_witnesses([None] * len(small)), small):
+        pm.write_catalog(path, cat)
+        assert path.read_bytes() == format_catalog(cat)
+        assert pm.read_catalog(path) == cat
+
+
+def test_overwrite_keeps_the_file_and_its_links(tmp_path):
+    path, link, sym = tmp_path / "c.cat", tmp_path / "hard.cat", tmp_path / "sym.cat"
+    pm.write_catalog(path, from_enumeration(pm.enumerate_chirotopes(7, 2)))
+    os.chmod(path, 0o640)
+    os.link(path, link)
+    os.symlink(path.name, sym)
+    before = os.stat(path)
+    cat = from_enumeration(pm.enumerate_chirotopes(6, 2))
+    for target in (link, sym):
+        pm.write_catalog(target, cat)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+        assert path.read_bytes() == link.read_bytes() == format_catalog(cat)
+        assert sym.is_symlink()
+    # a new file gets the mode open(path, "w") would give it
+    fresh = tmp_path / "new.cat"
+    pm.write_catalog(fresh, cat)
+    with open(tmp_path / "by_open", "w"):
+        pass
+    assert os.stat(fresh).st_mode == os.stat(tmp_path / "by_open").st_mode
+
+
+def test_write_to_a_fifo_or_device(tmp_path):
+    # larger than a pipe's buffer, so the writer waits on the reader
+    cat = from_enumeration(pm.enumerate_chirotopes(7, 2))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    pm.write_catalog(fifo, cat)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [format_catalog(cat)]
+    # a device is written and not truncated
+    pm.write_catalog(os.devnull, cat)
+
+
+def test_realize_over_its_own_catalog(tmp_path):
+    from click.testing import CliRunner
+
+    from polyom.cli import main
+
+    runner = CliRunner()
+    src, fresh = tmp_path / "6_2.cat", tmp_path / "tagged.cat"
+    runner.invoke(main, ["enumerate", "--n", "6", "--k", "2", "--out", str(src)])
+    outputs = []
+    for out in (fresh, src):
+        result = runner.invoke(main, ["realize", "--catalog", str(src), "--trials", "300", "--out", str(out)])
+        outputs.append((result.exit_code, result.stdout))
+    assert outputs[0] == outputs[1] == (0, "realizable=59 unknown=15 trials=300 seed=0 total=74\n")
+    assert src.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize("n, k", [(10**6, 5), (3000, 2)])
 def test_header_width_no_record_has(n, k):
     # C(10**6, 7) exceeds 2**63 and C(3000, 4) is about 3.4e12 characters:
@@ -408,7 +473,11 @@ def test_untagged_reader_matches_the_loop(monkeypatch):
     for block in (1, 2, 3, 5, 1 << 16):
         monkeypatch.setattr(catalog_module, "_CHECK_BLOCK", block)
         for name, text in texts:
-            assert parsed(parse_catalog, text) == parsed(looped_parse, text), (block, name)
+            want = parsed(looped_parse, text)
+            assert parsed(parse_catalog, text) == want, (block, name)
+            if text.isascii():
+                # the file's bytes read as its text
+                assert parsed(parse_catalog, text.encode("ascii")) == want, (block, name)
     # the unchanged catalog reads as written, and every fault is reported
     assert parse_catalog(rehash(6, 2, records)).records == tuple(records)
     outcomes = {parsed(parse_catalog, text)[0] for _, text in texts}

@@ -222,6 +222,38 @@ def test_realize_on_crlf_catalog_exits_two(tmp_path):
     assert result.stderr == "error: catalog checksum mismatch\n"
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("no/such/dir/x.cat", "No such file or directory"),
+    # under a regular file; mode bits would not stop a test run as root
+    ("f.txt/x.cat", "Not a directory"),
+])
+def test_unwritable_out_exits_two(tmp_path, where, reason):
+    cat_path = _catalog_5_2(tmp_path)
+    (tmp_path / "f.txt").write_text("")
+    out = str(tmp_path / where)
+    for args in (["enumerate", "--n", "5", "--k", "2"], ["realize", "--catalog", cat_path, "--trials", "5"]):
+        result = invoke(args + ["--out", out])
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert result.stderr == f"error: {out}: cannot write catalog ({reason})\n", args
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("at", ["header", "body"])
+def test_non_ascii_byte_in_catalog_is_named(tmp_path, at):
+    cat_path = tmp_path / "c.cat"
+    invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])
+    data = cat_path.read_bytes()
+    pos = 2 if at == "header" else len(data) - 3
+    cat_path.write_bytes(data[:pos] + b"\xff" + data[pos + 1 :])
+    for args in (["scan"], ["realize", "--trials", "5"]):
+        result = invoke(args + ["--catalog", str(cat_path)])
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert result.stderr == (
+            f"error: {cat_path}: not an ASCII catalog ('ascii' codec can't decode byte 0xff"
+            f" in position {pos}: ordinal not in range(128))\n"
+        ), args
+
+
 def test_scan_command(tmp_path):
     cat_path = str(tmp_path / "c.cat")
     invoke(["enumerate", "--n", "5", "--k", "2", "--out", cat_path])
