@@ -34,7 +34,6 @@ from .enumeration import (
     EnumerationResult,
     enumerate_chirotopes,
     enumerate_sharded,
-    merge_results,
     partition_search,
 )
 from .errors import (
@@ -102,7 +101,6 @@ __all__ = [
     "lex_rank",
     "lex_unrank",
     "lift",
-    "merge_results",
     "parse_points",
     "partition_search",
     "random_config",

@@ -8,13 +8,13 @@ digest covers the record lines byte for byte, line endings included, so
 any edit below the header is detected on read, except that a file cut
 before its last newline reads as if it were there.
 
-Catalog files go in and out as bytes.  A catalog is written over the
-file that is there, in place, and a regular file is then cut to the new
-length: its blocks are not freed and allocated again, which on some
-file systems waits on the disk.  A write torn part way leaves the new
-header over old or missing lines, which the count and the digest catch
-on read.  A file that is not ASCII is refused, naming its first other
-byte.
+Catalog files go in and out as bytes, and parse_catalog takes nothing
+else.  A catalog is written over the file that is there, in place, and
+a regular file is then cut to the new length: its blocks are not freed
+and allocated again, which on some file systems waits on the disk.  A
+write torn part way leaves the new header over old or missing lines,
+which the count and the digest catch on read.  A file that is not ASCII
+is refused, naming its first other byte.
 
 A catalog holds its records as one read-only character matrix, one row
 per record; record strings are made only for tagged lines, error
@@ -28,11 +28,8 @@ less the newline column.  If Catalog refuses it, the body is decoded
 and goes line by line, which is where every error of the format is
 found.  Catalog accepts a block of records by whole-array tests and
 looks for the first faulty record only in a block that fails them, so
-errors name the same record either way.
-A coordinate token spelled -?[0-9]+ is read with int(); any other goes
-to Fraction(str), which reads p/q, decimals, exponents, signs and
-underscores.  An exponent beyond 4300 is refused, as int() refuses an
-integer of more than 4300 digits.
+errors name the same record either way.  A witness's coordinates are
+read as a points file's are (points._fraction).
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import copy
 import hashlib
 import os
 import stat
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +47,7 @@ from .chirotope import (
 )
 from .combinat import comb_upto
 from .errors import CatalogIntegrityError, InputError
-from .points import _INTEGER, PointConfig, _fraction
+from .points import PointConfig, _fraction
 
 _CHECK_BLOCK = 1 << 16  # records checked at a time; bounds the check's temporaries
 
@@ -192,15 +188,10 @@ def write_catalog(path, catalog):
 
 def parse_catalog(data):
     """The catalog in the bytes of its file, which read_catalog has found
-    to be ASCII.  A str is counted and hashed as its ASCII encoding, with
-    '?' for any other character, and its own lines are read."""
-    text = None
-    if isinstance(data, str):
-        text, data = data, data.encode("ascii", errors="replace")
+    to be ASCII."""
     if not data:
         raise InputError("empty catalog file")
-    # the header ends at the first newline; a character is one byte, so
-    # an offset into data is one into text
+    # the header ends at the first newline
     end = data.find(b"\n")
     if end < 0:
         end = len(data)
@@ -208,9 +199,7 @@ def parse_catalog(data):
     if start < len(data) and not data.endswith(b"\n"):
         # a missing last newline is read as present
         data += b"\n"
-        if text is not None:
-            text += "\n"
-    head = data[:end].decode("ascii") if text is None else text[:end]
+    head = data[:end].decode("ascii")
     try:
         fields = dict(part.split("=", 1) for part in head.split())
         n = int(fields["n"])
@@ -237,7 +226,7 @@ def parse_catalog(data):
             pass
     # only the loop reads the body as str, whose split() knows more
     # whitespace than bytes.split() does
-    body_lines = (str(body, "ascii") if text is None else text[start:]).split("\n")[:-1]
+    body_lines = str(body, "ascii").split("\n")[:-1]
     records = []
     witnesses = []
     tagged = None
@@ -265,7 +254,7 @@ def parse_catalog(data):
                     f"line {lineno}: witness needs {2 * n} coordinates, got {len(coords)}"
                 )
             try:
-                vals = [Fraction(int(c)) if _INTEGER(c) else _fraction(c) for c in coords]
+                vals = list(map(_fraction, coords))
                 witnesses.append(PointConfig(zip(vals[::2], vals[1::2])))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"line {lineno}: bad witness: {exc}") from exc

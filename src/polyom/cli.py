@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 a check or soundness failure, 2 malformed
-input (also what click uses for bad flags), an --out catalog that
-cannot be written or a worker process of `enumerate --jobs` that died.
+input (also what click uses for bad flags), an --out file that cannot
+be written or a worker process of `enumerate --jobs` that died.
 Summary lines are machine-parseable, one key=value pair per token.
 """
 
@@ -39,12 +39,18 @@ def _guarded(fn):
     return inner
 
 
-def _write_catalog(path, catalog):
-    """write_catalog, with a file that cannot be written as bad input."""
+def _write_out(path, what, write, content):
+    """write(path, content), with a file that cannot be written as bad input."""
     try:
-        cat_mod.write_catalog(path, catalog)
+        write(path, content)
     except OSError as exc:
-        raise InputError(f"{path}: cannot write catalog ({exc.strerror or exc})") from exc
+        raise InputError(f"{path}: cannot write {what} ({exc.strerror or exc})") from exc
+
+
+def _write_text(path, text):
+    """text to the file at path, or to stdout for -."""
+    with click.open_file(path, "w") as fh:
+        fh.write(text)
 
 
 @click.group()
@@ -55,7 +61,7 @@ def main():
 @main.command()
 @click.argument("points", type=click.File("r"))
 @click.option("--k", type=int, required=True, help="Degree of the sign map.")
-@click.option("--out", type=click.File("w"), default="-", help="Output file.")
+@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", help="Output file.")
 @_guarded
 def chirotope(points, k, out):
     """Compute the degree-k chirotope of a points file."""
@@ -63,7 +69,7 @@ def chirotope(points, k, out):
     chi = chirotope_of(config, k)
     if not chi.is_uniform():
         click.echo("warning: sign map is not uniform (some tuples degenerate)", err=True)
-    out.write(to_text(chi))
+    _write_out(out, "chirotope", _write_text, to_text(chi))
 
 
 @main.command()
@@ -104,7 +110,7 @@ def enumerate_cmd(n, k, out, shards, shard, jobs):
     else:
         result = enumerate_chirotopes(n, k)
     if out:
-        _write_catalog(out, cat_mod.from_enumeration(result))
+        _write_out(out, "catalog", cat_mod.write_catalog, cat_mod.from_enumeration(result))
     click.echo(result.summary())
 
 
@@ -121,7 +127,7 @@ def realize(catalog_path, trials, seed, range_, out):
     ranges = (range_,) if range_ is not None else DEFAULT_RANGES
     tagged, stats = realize_random(catal, trials, seed, ranges=ranges)
     if out:
-        _write_catalog(out, tagged)
+        _write_out(out, "catalog", cat_mod.write_catalog, tagged)
     report = coverage_report(tagged)
     click.echo(stats.summary() + " " + f"total={report.total}")
 
@@ -148,7 +154,7 @@ def scan(catalog_path):
 @main.command()
 @click.argument("points", type=click.File("r"))
 @click.option("--k", type=int, required=True)
-@click.option("--out", type=click.File("w"), default="-")
+@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-")
 @click.option("--width", type=int, default=640, show_default=True)
 @click.option("--height", type=int, default=480, show_default=True)
 @click.option("--samples", type=int, default=256, show_default=True)
@@ -157,11 +163,8 @@ def scan(catalog_path):
 def render(points, k, out, width, height, samples, annotate):
     """Render a points file and its interpolating curves to SVG."""
     config = parse_points(points.read())
-    out.write(
-        render_svg(
-            config, k, width=width, height=height, samples=samples, annotate=annotate
-        )
-    )
+    svg = render_svg(config, k, width=width, height=height, samples=samples, annotate=annotate)
+    _write_out(out, "SVG", _write_text, svg)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,9 @@ sort as their characters do.  A shard is the slice of the top keys
 whose index is its own modulo the shard count; enumerate_sharded builds
 the lower levels and the top set-up once, runs every shard's step on
 it, in process or on a pool, and sorts the rows of all shards once.
+That is the one way to combine shards.  partition_search gives one
+shard alone, sorted; the shards are disjoint and their union is the
+full catalog.
 """
 
 from __future__ import annotations
@@ -241,21 +244,6 @@ def partition_search(n, k, shard, of_shards):
         raise InputError(f"shard {shard} outside [0, {of_shards})")
     _check_case(n, k)
     return _sorted_result(n, k, _top_join(n, k).rows(shard, of_shards))
-
-
-def merge_results(results):
-    """Combine shard results into one lex-ordered result."""
-    results = list(results)
-    if not results:
-        raise InputError("nothing to merge")
-    n, k = results[0].n, results[0].k
-    for res in results:
-        if (res.n, res.k) != (n, k):
-            raise InputError("cannot merge results for different (n, k)")
-    chars = np.vstack([res.chars for res in results])
-    chars = chars[bit_order(char_signs(chars) > 0)]
-    chars.setflags(write=False)
-    return EnumerationResult(n=n, k=k, chars=chars)
 
 
 # the join a pool worker takes its shards from, set by the pool's initializer

@@ -465,7 +465,10 @@ _MAX_DIGITS = 4300  # Python's default limit on int(str)
 
 
 def _fraction(token):
-    """Fraction(token), with an exponent beyond _MAX_DIGITS refused."""
+    """Fraction(token), with an exponent beyond _MAX_DIGITS refused; a
+    token spelled -?[0-9]+ is read by int(), which Fraction(str) calls too."""
+    if _INTEGER(token):
+        return Fraction(int(token))
     exp = _EXPONENT(token)
     if exp and abs(int(exp[1])) > _MAX_DIGITS:
         raise ValueError(f"Exceeds the limit ({_MAX_DIGITS} digits) for a coordinate's exponent")

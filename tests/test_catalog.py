@@ -18,11 +18,21 @@ from test_points import reference_points
 
 
 def rehash(n, k, body_lines):
-    """Valid header for handcrafted record lines; a non-ASCII character
-    counts as '?', as it does when the catalog is read."""
-    body = "".join(line + "\n" for line in body_lines)
-    digest = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
-    return f"n={n} k={k} count={len(body_lines)} sha256={digest}\n" + body
+    """The bytes of a catalog file of handcrafted record lines under a
+    valid header; a non-ASCII character is written in UTF-8, which
+    read_catalog refuses."""
+    body = "".join(line + "\n" for line in body_lines).encode("utf-8", errors="surrogatepass")
+    digest = hashlib.sha256(body).hexdigest()
+    return f"n={n} k={k} count={len(body_lines)} sha256={digest}\n".encode("ascii") + body
+
+
+def not_ascii(path, data):
+    """read_catalog's refusal of a file holding data, which is not ASCII."""
+    pos = next(i for i, byte in enumerate(data) if byte > 127)
+    return (
+        f"{path}: not an ASCII catalog ('ascii' codec can't decode byte {data[pos]:#x}"
+        f" in position {pos}: ordinal not in range(128))"
+    )
 
 
 def test_roundtrip_untagged():
@@ -52,28 +62,26 @@ def test_header_fields():
 
 
 def test_tampered_record_detected():
-    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).decode("ascii")
-    lines = text.splitlines(keepends=True)
+    lines = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).splitlines(keepends=True)
     body = lines[2]
-    flipped = ("+" if body[0] == "-" else "-") + body[1:]
+    flipped = (b"+" if body[:1] == b"-" else b"-") + body[1:]
     with pytest.raises(pm.CatalogIntegrityError):
-        parse_catalog(lines[0] + lines[1] + flipped + "".join(lines[3:]))
+        parse_catalog(lines[0] + lines[1] + flipped + b"".join(lines[3:]))
 
 
 def test_missing_record_detected():
-    text = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).decode("ascii")
-    lines = text.splitlines(keepends=True)
+    lines = format_catalog(from_enumeration(pm.enumerate_chirotopes(5, 2))).splitlines(keepends=True)
     with pytest.raises(pm.CatalogIntegrityError):
-        parse_catalog("".join(lines[:-1]))
+        parse_catalog(b"".join(lines[:-1]))
 
 
 def test_malformed_header():
     with pytest.raises(pm.InputError):
-        parse_catalog("n=5 k=2 count=five sha256=00\n")
+        parse_catalog(b"n=5 k=2 count=five sha256=00\n")
     with pytest.raises(pm.InputError):
-        parse_catalog("records follow\n")
+        parse_catalog(b"records follow\n")
     with pytest.raises(pm.InputError):
-        parse_catalog("")
+        parse_catalog(b"")
 
 
 def test_tagged_roundtrip_with_witness():
@@ -243,10 +251,38 @@ def test_exponent_beyond_the_digit_limit_is_refused(tmp_path):
         parse_catalog(rehash(5, 2, [f"{recs[0]} R {'9' * 4301} {' '.join(coords[1:])}"]))
     # `polyom realize` on such a catalog exits 2 with one line, at once
     path = tmp_path / "huge.cat"
-    path.write_text(rehash(5, 2, [f"{recs[0]} R 1e999999999 {' '.join(coords[1:])}"]))
+    path.write_bytes(rehash(5, 2, [f"{recs[0]} R 1e999999999 {' '.join(coords[1:])}"]))
     run = run_bounded("from polyom.cli import main; main()", "realize", "--catalog", str(path), "--trials", "1")
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == "error: line 2: bad witness: Exceeds the limit (4300 digits) for a coordinate's exponent\n"
+
+
+@pytest.mark.parametrize("token, want", [
+    ("+5", Fraction(5)), ("007", Fraction(7)), ("-0", Fraction(0)), ("1_000", Fraction(1000)),
+    ("2/4", Fraction(1, 2)), ("1.5", Fraction(3, 2)), ("1e3", Fraction(1000)),
+    ("1e4300", Fraction(10**4300)), ("1e4301", ValueError),
+    ("9" * 4300, Fraction(10**4300 - 1)), ("9" * 4301, ValueError),
+], ids=["+5", "007", "-0", "1_000", "2/4", "1.5", "1e3", "1e4300", "1e4301", "4300 digits", "4301 digits"])
+def test_points_and_witnesses_read_a_token_alike(token, want):
+    # the token as the y of the point at x = 100, in a points file and in
+    # the R witness of a tagged catalog line
+    coords = ["100", token, "1", "1", "2", "8", "3", "27", "4", "64"]
+    points_file = "".join(f"{x} {y}\n" for x, y in zip(coords[::2], coords[1::2]))
+    catalog = rehash(5, 2, [f"{pm.enumerate_chirotopes(5, 2).strings()[0]} R {' '.join(coords)}"])
+
+    def outcome(read):
+        """The y read at x = 100, or the type and text of the refusal's cause."""
+        try:
+            return dict(read().points)[100]
+        except pm.InputError as exc:
+            return type(exc.__cause__), str(exc.__cause__)
+
+    got = outcome(lambda: pm.parse_points(points_file))
+    assert got == outcome(lambda: parse_catalog(catalog).witnesses[0])
+    if want is ValueError:
+        assert got[0] is ValueError and got[1].startswith("Exceeds the limit (4300 digits)")
+    else:
+        assert got == want
 
 
 def test_crlf_catalog_fails_the_checksum(tmp_path):
@@ -362,7 +398,7 @@ def test_large_header_reads_promptly():
         for body in ("", "+\\n", "+-\\n"):
             text = head.format(body.count("\\n"), hashlib.sha256(body.encode()).hexdigest()) + body
             try:
-                cat = parse_catalog(text)
+                cat = parse_catalog(text.encode())
                 print(cat.n, cat.k, len(cat))
             except InputError as exc:
                 print(exc)
@@ -400,13 +436,17 @@ def test_first_bad_record_is_reported():
     assert str(info.value) == f"records not strictly increasing: {recs[1]!r} after {recs[2]!r}"
 
 
-def test_non_ascii_records_are_input_errors():
+def test_non_ascii_records_are_input_errors(tmp_path):
     recs = pm.enumerate_chirotopes(5, 2).strings()
+    path = tmp_path / "c.cat"
     for bad in ("+++é+", "++−++", "+\ud800+++", "é"):
         with pytest.raises(pm.InputError, match="^bad record for n=5 k=2: "):
             Catalog(5, 2, (recs[0], bad))
-        with pytest.raises(pm.InputError, match="^bad record for n=5 k=2: "):
-            parse_catalog(rehash(5, 2, [recs[0], bad]))
+        data = rehash(5, 2, [recs[0], bad])
+        path.write_bytes(data)
+        with pytest.raises(pm.InputError) as info:
+            pm.read_catalog(path)
+        assert str(info.value) == not_ascii(path, data)
 
 
 def test_record_checks_across_blocks(monkeypatch):
@@ -454,34 +494,38 @@ def mutated_bodies(records, at):
     yield "tagged line", recs[:at] + [rec + " U"] + recs[at + 1 :]
 
 
-def test_untagged_reader_matches_the_loop(monkeypatch):
+def test_untagged_reader_matches_the_loop(monkeypatch, tmp_path):
     import polyom.catalog as catalog_module
 
     records = pm.enumerate_chirotopes(6, 2).strings()
     texts = []
     for at in (0, 1, 2, 3, 4, 5, len(records) - 2, len(records) - 1):
         for name, lines in mutated_bodies(records, at):
-            text = rehash(6, 2, lines)
-            head, body = text.split("\n", 1)
+            data = rehash(6, 2, lines)
+            head, body = data.split(b"\n", 1)
             count = len(lines)
             texts += [
-                (name, text),
-                (name + ", no last newline", text[:-1]),
-                (name + ", count + 1", head.replace(f"count={count}", f"count={count + 1}") + "\n" + body),
-                (name + ", count - 1", head.replace(f"count={count}", f"count={count - 1}") + "\n" + body),
+                (name, data),
+                (name + ", no last newline", data[:-1]),
+                (name + ", count + 1", head.replace(b"count=%d" % count, b"count=%d" % (count + 1)) + b"\n" + body),
+                (name + ", count - 1", head.replace(b"count=%d" % count, b"count=%d" % (count - 1)) + b"\n" + body),
             ]
+    ascii_texts = [(name, data) for name, data in texts if data.isascii()]
     for block in (1, 2, 3, 5, 1 << 16):
         monkeypatch.setattr(catalog_module, "_CHECK_BLOCK", block)
-        for name, text in texts:
-            want = parsed(looped_parse, text)
-            assert parsed(parse_catalog, text) == want, (block, name)
-            if text.isascii():
-                # the file's bytes read as its text
-                assert parsed(parse_catalog, text.encode("ascii")) == want, (block, name)
+        for name, data in ascii_texts:
+            assert parsed(parse_catalog, data) == parsed(looped_parse, data), (block, name)
+    # a file with a non-ASCII byte is refused before it is parsed
+    path = tmp_path / "c.cat"
+    for name, data in texts:
+        if not data.isascii():
+            path.write_bytes(data)
+            assert parsed(pm.read_catalog, path) == (pm.InputError, not_ascii(path, data)), name
     # the unchanged catalog reads as written, and every fault is reported
     assert parse_catalog(rehash(6, 2, records)).records == tuple(records)
-    outcomes = {parsed(parse_catalog, text)[0] for _, text in texts}
+    outcomes = {parsed(parse_catalog, data)[0] for _, data in ascii_texts}
     assert outcomes == {6, pm.InputError, pm.CatalogIntegrityError}
+    assert len(ascii_texts) < len(texts)
 
 
 def test_character_matrix_checks_as_the_strings(monkeypatch):
@@ -520,8 +564,8 @@ def test_empty_shard_round_trip(tmp_path):
     path = tmp_path / "empty.cat"
     pm.write_catalog(path, cat)
     assert pm.read_catalog(path) == cat
-    text = path.read_text()
-    assert parsed(parse_catalog, text) == parsed(looped_parse, text) == (4, 2, (), None)
+    data = path.read_bytes()
+    assert parsed(parse_catalog, data) == parsed(looped_parse, data) == (4, 2, (), None)
 
 
 def looped_fault(records, n, k):
@@ -538,14 +582,15 @@ def looped_fault(records, n, k):
     return None
 
 
-def looped_parse(text):
-    """parse_catalog one line at a time, every coordinate through
-    Fraction(str) and witnesses sorted as Fractions (`reference_points`).
+def looped_parse(data):
+    """parse_catalog one line at a time on the ASCII bytes of a file,
+    every coordinate through Fraction(str) and witnesses sorted as
+    Fractions (`reference_points`).
 
     The witnesses of the returned Catalog are point tuples, not
     PointConfigs; `parsed` puts both readers' results in one form.
     """
-    lines = text.split("\n")
+    lines = data.decode("ascii").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -564,7 +609,7 @@ def looped_parse(text):
             f"header says {count} records, file has {len(body_lines)}"
         )
     body = "\n".join(body_lines + [""])
-    actual = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
+    actual = hashlib.sha256(body.encode("ascii")).hexdigest()
     if actual != digest:
         raise pm.CatalogIntegrityError("catalog checksum mismatch")
     records = []

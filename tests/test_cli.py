@@ -229,13 +229,30 @@ def test_realize_on_crlf_catalog_exits_two(tmp_path):
 ])
 def test_unwritable_out_exits_two(tmp_path, where, reason):
     cat_path = _catalog_5_2(tmp_path)
+    pts = write(tmp_path / "pts.txt", CUBIC)
     (tmp_path / "f.txt").write_text("")
     out = str(tmp_path / where)
-    for args in (["enumerate", "--n", "5", "--k", "2"], ["realize", "--catalog", cat_path, "--trials", "5"]):
+    for args, what in (
+        (["enumerate", "--n", "5", "--k", "2"], "catalog"),
+        (["realize", "--catalog", cat_path, "--trials", "5"], "catalog"),
+        (["chirotope", pts, "--k", "2"], "chirotope"),
+        (["render", pts, "--k", "2"], "SVG"),
+    ):
         result = invoke(args + ["--out", out])
         assert (result.exit_code, result.stdout) == (2, ""), args
-        assert result.stderr == f"error: {out}: cannot write catalog ({reason})\n", args
+        assert result.stderr == f"error: {out}: cannot write {what} ({reason})\n", args
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["chirotope", "render"])
+def test_text_out_dash_is_stdout(tmp_path, command):
+    pts = write(tmp_path / "pts.txt", CUBIC)
+    default = invoke([command, pts, "--k", "2"])
+    dash = invoke([command, pts, "--k", "2", "--out", "-"])
+    to_file = invoke([command, pts, "--k", "2", "--out", str(tmp_path / "out.txt")])
+    assert default.exit_code == dash.exit_code == to_file.exit_code == 0
+    assert default.stdout == dash.stdout == (tmp_path / "out.txt").read_text()
+    assert to_file.stdout == "" and default.stdout
 
 
 @pytest.mark.parametrize("at", ["header", "body"])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import polyom as pm
-from polyom.catalog import format_catalog, from_enumeration
-from polyom.enumeration import merge_results, partition_search
+from polyom.enumeration import partition_search
 from reference_search import brute_force_strings, propagate_window
 
 # (n, k) -> number of objects up to global sign
@@ -116,10 +115,6 @@ def test_shards_partition_the_output():
         seen = [row for p in parts for row in p.strings()]
         assert sorted(seen) == full.strings()
         assert len(seen) == len(set(seen))
-        merged = merge_results(parts)
-        assert merged.strings() == full.strings()
-        assert merged.count == full.count
-        assert merged.unimodal_count == full.unimodal_count
 
 
 def test_shallow_leaves_are_not_duplicated():
@@ -150,8 +145,6 @@ def test_shards_disjoint_exact_and_merge_byte_identical(n, k, of_shards):
     seen = [row for part in parts for row in part.strings()]
     assert len(seen) == len(set(seen)) == full.count
     assert set(seen) == set(full.strings())
-    merged = merge_results(parts)
-    assert format_catalog(from_enumeration(merged)) == format_catalog(from_enumeration(full))
 
 
 def test_enumerate_sharded_with_pool():
@@ -247,15 +240,6 @@ def test_partition_validation():
         partition_search(6, 2, 0, 0)
     with pytest.raises(pm.InputError):
         partition_search(4, 3, 0, 2)
-
-
-def test_merge_validation():
-    with pytest.raises(pm.InputError):
-        merge_results([])
-    a = pm.enumerate_chirotopes(5, 2)
-    b = pm.enumerate_chirotopes(6, 2)
-    with pytest.raises(pm.InputError):
-        merge_results([a, b])
 
 
 def test_every_realized_chirotope_is_enumerated():

@@ -227,7 +227,8 @@ def test_parse_points_total(text):
 
 
 def headed(n, k, lines):
-    """A catalog text whose header matches its body, so the records are read."""
+    """A catalog text whose header matches its body's ASCII bytes, with
+    '?' for any other character, so the records of those bytes are read."""
     body = "".join(line + "\n" for line in lines)
     digest = hashlib.sha256(body.encode("ascii", errors="replace")).hexdigest()
     return f"n={n} k={k} count={len(lines)} sha256={digest}\n" + body
@@ -292,7 +293,7 @@ def catalog_texts():
 @PROPS
 @given(catalog_texts())
 def test_parse_catalog_total(text):
-    cat = valid_or_input_error(parse_catalog, text)
+    cat = valid_or_input_error(parse_catalog, text.encode("ascii", errors="replace"))
     if cat is not None:
         assert isinstance(cat, Catalog)
         assert all(isinstance(rec, str) for rec in cat.records)
@@ -302,11 +303,8 @@ def test_parse_catalog_total(text):
 @settings(PROPS, max_examples=600)
 @given(st.one_of(catalog_texts(), spelled_catalogs(), spelled_catalogs().map(lambda t: t[:-1])))
 def test_parse_catalog_matches_the_loop(text):
-    want = parsed(looped_parse, text)
-    assert parsed(parse_catalog, text) == want
-    if text.isascii():
-        # the file's bytes read as its text
-        assert parsed(parse_catalog, text.encode("ascii")) == want
+    data = text.encode("ascii", errors="replace")
+    assert parsed(parse_catalog, data) == parsed(looped_parse, data)
 
 
 def raw_headed(n, k, body):
