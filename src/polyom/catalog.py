@@ -29,7 +29,10 @@ and goes line by line, which is where every error of the format is
 found.  Catalog accepts a block of records by whole-array tests and
 looks for the first faulty record only in a block that fails them, so
 errors name the same record either way.  A witness's coordinates are
-read as a points file's are (points._fraction).
+read as a points file's are (points._fraction): an integer token as an
+int, so an integer witness is built without a Fraction.  A witness of
+common denominator 1 is written from its integer store, in the same
+characters its Fractions print.
 """
 
 from __future__ import annotations
@@ -156,8 +159,11 @@ def from_enumeration(result):
 
 
 def _tagged_line(record, witness):
-    tag = "U" if witness is None else "R " + " ".join(f"{x} {y}" for x, y in witness.points)
-    return f"{record} {tag}\n"
+    if witness is None:
+        return f"{record} U\n"
+    # an int prints as the Fraction of its value does
+    pairs = zip(witness.xs, witness.ys) if witness.scale == 1 else witness.points
+    return f"{record} R {' '.join(f'{x} {y}' for x, y in pairs)}\n"
 
 
 def format_catalog(catalog):

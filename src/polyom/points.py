@@ -20,9 +20,10 @@ Bronnimann, Burnikel and Pion, "Interval arithmetic yields efficient
 dynamic filters for computational geometry", DAM 109, 2001).  Every
 entry the bound leaves open (exact zeros, overflow to inf or NaN, and
 coordinates beyond 2^52, whose differences float64 no longer holds
-exactly) is evaluated again in Python integers.  Rational
-configurations are first multiplied through by their positive common
-denominator L, which scales every determinant by L^(k(k+1)/2+1) > 0.
+exactly) is evaluated again in Python integers.  A PointConfig keeps
+its points as integers already: numerators over their positive common
+denominator L, which scales every determinant by L^(k(k+1)/2+1) > 0,
+so chirotope_of signs the store as it is.
 
 `det_sign` (Bareiss elimination) remains the general exact determinant
 and `lagrange_sign` (Newton interpolation over the rationals) an
@@ -32,6 +33,7 @@ independent oracle for the same signs.
 from __future__ import annotations
 
 import itertools
+import numbers
 import random
 import re
 import sys
@@ -54,39 +56,64 @@ class PointConfig:
 
     Element e refers to the e-th point in x-order.  Two points sharing an
     x-coordinate are rejected: the degree-k theory needs a strict total
-    order on the first coordinate.  The order is taken on exact integer
-    keys, each x times the common denominator L of the x-values (the
-    scaling `chirotope_of` uses), so sorting compares ints, not
-    Fractions.
+    order on the first coordinate.
+
+    The one store is integer: xs and ys, tuples of ints in x-order, over
+    one positive common denominator scale, the lcm of the coordinates'
+    denominators, so that point e is (xs[e-1]/scale, ys[e-1]/scale).  An
+    integer configuration has scale 1 and is never turned into
+    Fractions on the way in.  The store is canonical for the point set,
+    so equality and hash are taken on it; an integer configuration
+    hashes as the tuple of its (x, y) pairs, as Fractions of the same
+    values do.  points, the (Fraction, Fraction) pairs, is a view made
+    on first read.
     """
 
-    __slots__ = ("points", "_chi_cache")
+    __slots__ = ("xs", "ys", "scale", "_points", "_chi_cache")
 
     def __init__(self, points):
-        coords = [
-            (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
-            for x, y in points
-        ]
-        scale = lcm(*(x.denominator for x, _ in coords))
-        keys = [x.numerator * (scale // x.denominator) for x, _ in coords]
-        order = sorted(range(len(coords)), key=keys.__getitem__)
-        for i, j in zip(order, order[1:]):
-            if keys[i] == keys[j]:
-                raise InputError(f"two points share x = {coords[i][0]}")
-        self.points = tuple(coords[i] for i in order)
+        rows = points if type(points) is list else list(points)
+        xs = [x for x, _ in rows]
+        ys = [y for _, y in rows]
+        scale = 1
+        if not {*map(type, xs), *map(type, ys)} <= {int}:
+            # in input order, so that the first bad coordinate is the one named
+            coords = [(_rational(x), _rational(y)) for x, y in rows]
+            scale = lcm(*(v.denominator for p in coords for v in p))
+            xs = [x.numerator * (scale // x.denominator) for x, _ in coords]
+            ys = [y.numerator * (scale // y.denominator) for _, y in coords]
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        self.xs = tuple(map(xs.__getitem__, order))
+        self.ys = tuple(map(ys.__getitem__, order))
+        if len(set(self.xs)) < len(self.xs):
+            x = next(a for a, b in zip(self.xs, self.xs[1:]) if a == b)
+            raise InputError(f"two points share x = {Fraction(x, scale)}")
+        self.scale = scale
+        self._points = None
         self._chi_cache = {}
 
+    @property
+    def points(self):
+        """The points as (Fraction, Fraction) pairs in x-order."""
+        if self._points is None:
+            s = self.scale
+            self._points = tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(self.xs, self.ys))
+        return self._points
+
     def __len__(self):
-        return len(self.points)
+        return len(self.xs)
 
     def __iter__(self):
         return iter(self.points)
 
     def __eq__(self, other):
-        return isinstance(other, PointConfig) and self.points == other.points
+        return isinstance(other, PointConfig) and (self.scale, self.xs, self.ys) == (
+            other.scale, other.xs, other.ys,
+        )
 
     def __hash__(self):
-        return hash(self.points)
+        pairs = tuple(zip(self.xs, self.ys))
+        return hash(pairs) if self.scale == 1 else hash((self.scale, pairs))
 
     def __repr__(self):
         inner = ", ".join(f"({x}, {y})" for x, y in self.points)
@@ -94,9 +121,19 @@ class PointConfig:
 
     def coords(self, e):
         """Coordinates of element e (1-based)."""
-        if not 1 <= e <= len(self.points):
-            raise InputError(f"element {e} outside [1, {len(self.points)}]")
+        if not 1 <= e <= len(self):
+            raise InputError(f"element {e} outside [1, {len(self)}]")
         return self.points[e - 1]
+
+
+def _rational(v):
+    """v as an int or a Fraction: other integer types (np.int64) become
+    int, and anything else goes through Fraction(v)."""
+    if type(v) is int or type(v) is Fraction:
+        return v
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    return Fraction(v)
 
 
 def lift(point, k):
@@ -274,7 +311,9 @@ def chi_point(config, k, t):
 
 
 def chirotope_of(config, k):
-    """The degree-k chirotope of a configuration, on sorted tuples."""
+    """The degree-k chirotope of a configuration, on sorted tuples: the
+    signs of its integer store, xs and ys over their common denominator,
+    which has the same signs as the points."""
     n = len(config)
     if k < 1:
         raise InputError(f"degree must be at least 1, got {k}")
@@ -283,12 +322,9 @@ def chirotope_of(config, k):
     cached = config._chi_cache.get(k)
     if cached is not None:
         return cached
-    # Clear denominators: scaling every coordinate by the positive common
-    # denominator L scales each determinant by L^(k(k+1)/2+1).
-    scale = lcm(*(c.denominator for p in config.points for c in p))
-    xs = [x.numerator * (scale // x.denominator) for x, _ in config.points]
-    ys = [y.numerator * (scale // y.denominator) for _, y in config.points]
-    chi = Chirotope(n, k, tuple_signs([xs], [ys], k)[0])
+    # The stored numerators are the points times the positive common
+    # denominator L, which scales each determinant by L^(k(k+1)/2+1).
+    chi = Chirotope(n, k, tuple_signs([config.xs], [config.ys], k)[0])
     config._chi_cache[k] = chi
     return chi
 
@@ -465,10 +501,13 @@ _MAX_DIGITS = 4300  # Python's default limit on int(str)
 
 
 def _fraction(token):
-    """Fraction(token), with an exponent beyond _MAX_DIGITS refused; a
-    token spelled -?[0-9]+ is read by int(), which Fraction(str) calls too."""
+    """The value of token as Fraction(token) reads it, with an exponent
+    beyond _MAX_DIGITS refused.  A token spelled -?[0-9]+ is read by
+    int(), which Fraction(str) calls too, and stays an int, so integer
+    points reach PointConfig without a Fraction; any other is a
+    Fraction."""
     if _INTEGER(token):
-        return Fraction(int(token))
+        return int(token)
     exp = _EXPONENT(token)
     if exp and abs(int(exp[1])) > _MAX_DIGITS:
         raise ValueError(f"Exceeds the limit ({_MAX_DIGITS} digits) for a coordinate's exponent")

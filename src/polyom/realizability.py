@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chirotope import char_signs, leading_signs, sign_chars
+import numpy as np
+
+from .chirotope import leading_signs, sign_chars
 from .errors import InputError, SoundnessError
-from .points import PointConfig, check_draw, chirotope_of, draw_uniform
+from .points import PointConfig, check_draw, chirotope_of, draw_uniform, tuple_signs
 
 DEFAULT_RANGES = (8, 32, 128, 1024, 32768, 10**6)
 
@@ -126,16 +128,27 @@ def verify_witness(record, config, k):
 
 
 def verify_catalog_witnesses(catalog):
-    """Indices of tagged records whose stored witness fails to verify."""
+    """Indices of tagged records whose stored witness fails to verify.
+
+    The witnesses of n points are signed together, a tuple_signs call
+    per TRIAL_BLOCK of them on their stored numerators: each witness's
+    positive common denominator leaves its signs unchanged, as in
+    chirotope_of.  The rows are canonicalized and compared with the
+    records' characters.  A witness of another length fails, and so does
+    one whose signs are all zero.
+    """
     if not catalog.tagged:
         return ()
-    bad = []
-    for i, (signs, wit) in enumerate(zip(char_signs(catalog.chars), catalog.witnesses)):
-        if wit is None:
-            continue
-        if len(wit) != catalog.n or not (chirotope_of(wit, catalog.k).canonicalize().signs == signs).all():
-            bad.append(i)
-    return tuple(bad)
+    wits = catalog.witnesses
+    fits = [i for i, w in enumerate(wits) if w is not None and len(w) == catalog.n]
+    bad = [i for i, w in enumerate(wits) if w is not None and len(w) != catalog.n]
+    for lo in range(0, len(fits), TRIAL_BLOCK):
+        block = fits[lo : lo + TRIAL_BLOCK]
+        signs = tuple_signs([wits[i].xs for i in block], [wits[i].ys for i in block], catalog.k)
+        rows = sign_chars(signs * leading_signs(signs)[:, None])
+        wrong = (rows != catalog.chars[block]).any(1)
+        bad += [block[j] for j in np.flatnonzero(wrong).tolist()]
+    return tuple(sorted(bad))
 
 
 @dataclass(frozen=True)

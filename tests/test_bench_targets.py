@@ -3,6 +3,7 @@ reads result fields; a cleanup that drops one breaks it silently."""
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "polybench"))
@@ -69,3 +70,20 @@ def test_catalog_keeps_the_contract_the_workloads_read(tmp_path):
     pm.write_catalog(tmp_path / "t.cat", tagged)
     back = pm.read_catalog(tmp_path / "t.cat")
     assert back == tagged and back != cat and back.records == cat.records
+
+
+def test_realized_witness_equals_its_points_as_fractions(tmp_path):
+    """The realize workload compares a tagged catalog read back with the
+    one realize_random returned (`back != self.catalog`), so a witness
+    must equal, and hash like, the same points spelled as Fractions,
+    whichever way it was built."""
+    tagged, _ = pm.realize_random(pm.from_enumeration(pm.enumerate_chirotopes(6, 2)), 300, seed=1)
+    pm.write_catalog(tmp_path / "t.cat", tagged)
+    back = pm.read_catalog(tmp_path / "t.cat")
+    for wit, read in zip(tagged.witnesses, back.witnesses):
+        if wit is None:
+            assert read is None
+            continue
+        fractions = pm.PointConfig([(Fraction(x), Fraction(y)) for x, y in wit.points])
+        assert wit == fractions == read
+        assert hash(wit) == hash(fractions) == hash(read) == hash(wit.points)

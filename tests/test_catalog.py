@@ -94,6 +94,26 @@ def test_tagged_roundtrip_with_witness():
     assert pm.verify_catalog_witnesses(back) == ()
 
 
+def test_tagged_bytes_with_integer_and_rational_witnesses_are_pinned():
+    # integer witnesses from realize, and the first moved to x from 1/2
+    # and its y divided by 3, which keeps its record (a shift in x and a
+    # positive scale of y change no sign); the digest was computed when
+    # witnesses were stored as Fractions
+    tagged, _ = pm.realize_random(from_enumeration(pm.enumerate_chirotopes(6, 2)), 300, seed=0)
+    wits = list(tagged.witnesses)
+    x0 = wits[0].points[0][0]
+    wits[0] = pm.PointConfig([(x - x0 + Fraction(1, 2), y / 3) for x, y in wits[0].points])
+    cat = tagged.with_witnesses(wits)
+    data = format_catalog(cat)
+    assert hashlib.sha256(data).hexdigest() == "60bd889895ca619950b3fa3a12233d6a26e0f44a4b3a9aa2e449e9d7ca171553"
+    assert data.split(b"\n")[1].startswith(b"+++++++++++++++ R 1/2 -799/3 45/2 -421/3 ")
+    back = parse_catalog(data)
+    assert back == cat and hash(back.witnesses) == hash(cat.witnesses)
+    assert back.witnesses[0].scale == 6 and {w.scale for w in back.witnesses[1:] if w} == {1}
+    assert format_catalog(back) == data
+    assert pm.verify_catalog_witnesses(back) == ()
+
+
 def test_unrealized_tag_roundtrip():
     cat = Catalog(4, 2, ("+",)).with_witnesses([None])
     back = parse_catalog(format_catalog(cat))

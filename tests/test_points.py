@@ -186,6 +186,73 @@ def test_point_config_sorts_by_x():
         cfg.coords(4)
 
 
+def test_store_is_one_for_every_spelling():
+    # one point set spelled as ints, Fractions, floats, np.int64 and a
+    # points file: one store, equal configs, equal hashes
+    spellings = [
+        [(3, -4), (0, 5), (1, 2)],
+        [(Fraction(3), Fraction(-4)), (Fraction(0), Fraction(5)), (Fraction(2, 2), Fraction(2))],
+        [(3.0, -4.0), (0.0, 5), (1, 2.0)],
+        [(np.int64(3), np.int64(-4)), (np.int64(0), np.int64(5)), (np.int64(1), np.int64(2))],
+        pm.parse_points("3 -4\n0 5\n1 2\n"),
+        pm.parse_points("6/2 -8/2\n0 5.0\n1e0 2\n"),
+    ]
+    configs = [pm.PointConfig(s) for s in spellings]
+    for cfg in configs:
+        assert (cfg.xs, cfg.ys, cfg.scale) == ((0, 1, 3), (5, 2, -4), 1)
+        assert all(type(v) is int for v in cfg.xs + cfg.ys)
+        assert cfg == configs[0] and hash(cfg) == hash(configs[0])
+        assert cfg.points == ((0, 5), (1, 2), (3, -4))
+        assert all(type(v) is Fraction for p in cfg.points for v in p)
+        # the hash an integer configuration had as a tuple of Fraction pairs
+        assert hash(cfg) == hash(((Fraction(0), Fraction(5)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(-4))))
+    halves = [
+        [(0.5, 1), (Fraction(1, 3), 2), (2, Fraction(-3, 4))],
+        [(Fraction(2, 4), Fraction(1)), (Fraction(1, 3), np.int64(2)), (np.int64(2), -0.75)],
+        pm.parse_points("1/2 1\n1/3 2\n2 -3/4\n"),
+        pm.parse_points("0.5 1\n2/6 2\n2 -0.75\n"),
+    ]
+    configs = [pm.PointConfig(s) for s in halves]
+    for cfg in configs:
+        assert (cfg.xs, cfg.ys, cfg.scale) == ((4, 6, 24), (24, 12, -9), 12)
+        assert cfg == configs[0] and hash(cfg) == hash(configs[0])
+        assert cfg.points == ((Fraction(1, 3), 2), (Fraction(1, 2), 1), (2, Fraction(-3, 4)))
+        assert all(type(v) is Fraction for p in cfg.points for v in p)
+    assert configs[0] != pm.PointConfig([(4, 24), (6, 12), (24, -9)])
+    assert pm.PointConfig([(1, 2)]) != pm.PointConfig([(2, 1)])
+
+
+def test_store_sorts_and_refuses_like_the_fractions():
+    cfg = pm.PointConfig([(Fraction(5, 2), 1), (-1, Fraction(1, 5)), (Fraction(1, 2), -3)])
+    assert (cfg.xs, cfg.ys, cfg.scale) == ((-10, 5, 25), (2, -30, 10), 10)
+    assert cfg.coords(2) == (Fraction(1, 2), -3)
+    with pytest.raises(pm.InputError, match=r"^two points share x = 1/2$"):
+        pm.parse_points("1/2 0\n3 0\n0.5 1\n")
+    with pytest.raises(pm.InputError, match=r"^two points share x = -7$"):
+        pm.PointConfig([(-7, 0), (9, 0), (np.int64(-7), 1)])
+    # repr spells every coordinate as its Fraction does
+    assert repr(pm.PointConfig([(Fraction(1, 2), -3), (2, Fraction(7, 5)), (-1, 0)])) == (
+        "PointConfig([(-1, 0), (1/2, -3), (2, 7/5)])"
+    )
+    assert repr(pm.PointConfig([(2, 0), (-1, 10**30)])) == f"PointConfig([(-1, {10**30}), (2, 0)])"
+
+
+def test_chirotope_of_a_rational_config_is_that_of_its_scaling():
+    rng = random.Random(26)
+    for k in (1, 2, 3):
+        for _ in range(20):
+            xs = rng.sample(range(-40, 40), k + 4)
+            pts = [(Fraction(x, rng.randint(1, 9)), Fraction(rng.randint(-40, 40), rng.randint(1, 9))) for x in xs]
+            if len({x for x, _ in pts}) < len(pts):
+                continue
+            cfg = pm.PointConfig(pts)
+            scaled = pm.PointConfig([(int(x * cfg.scale), int(y * cfg.scale)) for x, y in pts])
+            assert (scaled.xs, scaled.ys, scaled.scale) == (cfg.xs, cfg.ys, 1)
+            want = bareiss_signs([x for x, _ in cfg.points], [y for _, y in cfg.points], k)
+            assert pm.chirotope_of(cfg, k) == pm.chirotope_of(scaled, k)
+            assert pm.chirotope_of(cfg, k).signs.tolist() == want
+
+
 def reference_points(points):
     """The points of PointConfig(points), sorted and tie-checked as
     Fractions: the constructor before it sorted on integer keys."""

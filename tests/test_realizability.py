@@ -91,6 +91,67 @@ def test_verify_catalog_flags_perturbed_witness():
     bent[2] = pm.PointConfig(pts)
     broken = tagged.with_witnesses(bent)
     assert pm.verify_catalog_witnesses(broken) == (2,)
+    assert looped_verify(broken) == (2,)
+
+
+def looped_verify(catalog):
+    """The reference check: one chirotope_of per witness, canonicalized
+    and compared with its record's signs."""
+    bad = []
+    for i, (record, wit) in enumerate(zip(catalog.records, catalog.witnesses)):
+        if wit is None:
+            continue
+        if len(wit) != catalog.n or not (
+            pm.chirotope_of(wit, catalog.k).canonicalize().signs == pm.signs_from_string(record)
+        ).all():
+            bad.append(i)
+    return tuple(bad)
+
+
+def test_verify_catalog_flags_swapped_witnesses(tmp_path):
+    tagged, _ = pm.realize_random(catalog(6, 2), trials=300, seed=0)
+    wits = list(tagged.witnesses)
+    wits[0], wits[1] = wits[1], wits[0]
+    path = tmp_path / "swapped.cat"
+    pm.write_catalog(path, tagged.with_witnesses(wits))
+    swapped = pm.read_catalog(path)
+    assert pm.verify_catalog_witnesses(swapped) == looped_verify(swapped) == (0, 1)
+
+
+def test_verify_catalog_matches_the_loop():
+    tagged, _ = pm.realize_random(catalog(6, 2), trials=300, seed=0)
+    wits = list(tagged.witnesses)
+    found = [i for i, w in enumerate(wits) if w is not None]
+    # every coordinate divided by 3: a positive scale keeps every sign
+    thirds = [pm.PointConfig([(x / 3, y / 3) for x, y in wits[i].points]) for i in found]
+    assert {w.scale for w in thirds} == {3}
+    for i, w in zip(found, thirds):
+        wits[i] = w
+    assert pm.verify_catalog_witnesses(tagged.with_witnesses(wits)) == ()
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        mixed = list(wits)
+        for i in rng.choice(found, 6, replace=False).tolist():
+            pts = list(mixed[i].points)
+            pick = rng.integers(4)
+            if pick == 0:  # a wrong-length witness
+                mixed[i] = pm.PointConfig(pts[:-1])
+            elif pick == 1:  # another record's witness
+                mixed[i] = wits[found[rng.integers(len(found))]]
+            elif pick == 2:  # one y moved far up
+                x, y = pts[2]
+                pts[2] = (x, y + 10**9)
+                mixed[i] = pm.PointConfig(pts)
+            else:  # none
+                mixed[i] = None
+        checked = tagged.with_witnesses(mixed)
+        assert pm.verify_catalog_witnesses(checked) == looped_verify(checked)
+    # witnesses beyond int64, signed in integers
+    huge = [None if w is None else pm.PointConfig([(x * 2**70, y * 2**70) for x, y in w.points]) for w in wits]
+    assert pm.verify_catalog_witnesses(tagged.with_witnesses(huge)) == ()
+    huge[found[0]], huge[found[1]] = huge[found[1]], huge[found[0]]
+    checked = tagged.with_witnesses(huge)
+    assert pm.verify_catalog_witnesses(checked) == looped_verify(checked) == tuple(found[:2])
 
 
 def test_trial_seed_injective_across_trials():
