@@ -54,12 +54,9 @@ from .points import (
     random_config,
 )
 from .realizability import (
-    CoverageReport,
     RealizeStats,
-    coverage_report,
     realize_random,
     verify_catalog_witnesses,
-    verify_witness,
 )
 from .render import render_svg
 
@@ -70,7 +67,6 @@ __all__ = [
     "Catalog",
     "CatalogIntegrityError",
     "Chirotope",
-    "CoverageReport",
     "DegenerateConfigError",
     "EnumerationResult",
     "InputError",
@@ -87,7 +83,6 @@ __all__ = [
     "chi_point",
     "chirotope_of",
     "cocircuit_vectors",
-    "coverage_report",
     "det_sign",
     "enumerate_chirotopes",
     "enumerate_sharded",
@@ -111,6 +106,5 @@ __all__ = [
     "sort_with_sign",
     "to_text",
     "verify_catalog_witnesses",
-    "verify_witness",
     "write_catalog",
 ]

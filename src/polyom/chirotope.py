@@ -96,31 +96,13 @@ class Chirotope:
     def reorient(self, subset):
         """Reorientation by A: each tuple sign flips by the parity of
         |complement(tuple) intersect A|."""
-        inside = self._element_mask(subset, "reorientation element")
+        inside = np.zeros(self.n + 1, bool)  # membership over 0..n, index 0 unused
+        for e in set(subset):
+            if not 1 <= e <= self.n:
+                raise InputError(f"reorientation element {e} outside [1, {self.n}]")
+            inside[e] = True
         outside = int(inside.sum()) - inside[tuple_index(self.n, self.k).tuples].sum(1)
         return Chirotope(self.n, self.k, np.where(outside & 1, -self.signs, self.signs))
-
-    def restrict(self, elements):
-        """The induced sign map on a subset of the ground set.
-
-        Elements keep their relative order and are relabelled 1..m, so
-        the tuples inside the subset keep their lex order.
-        """
-        kept = self._element_mask(elements, "element")
-        if kept.sum() < self.r:
-            raise InputError("restriction needs at least k+2 elements")
-        inside = kept[tuple_index(self.n, self.k).tuples].all(1)
-        return Chirotope(int(kept.sum()), self.k, self.signs[inside])
-
-    def _element_mask(self, elements, what):
-        """Boolean membership over 0..n, index 0 unused."""
-        mask = np.zeros(self.n + 1, bool)
-        for e in set(elements):
-            if not 1 <= e <= self.n:
-                raise InputError(f"{what} {e} outside [1, {self.n}]")
-            mask[e] = True
-        return mask
-
 
 def to_text(chi):
     """Two-line text form: header with n and k, then the sign string."""

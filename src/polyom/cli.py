@@ -1,9 +1,12 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 a check or soundness failure, 2 malformed
-input (also what click uses for bad flags), an --out file that cannot
-be written or a worker process of `enumerate --jobs` that died.
-Summary lines are machine-parseable, one key=value pair per token.
+input (also what click uses for bad flags), a catalog witness that does
+not realize its record, an --out file that cannot be written, a worker
+process of `enumerate --jobs` that died or an input too large for
+memory.  Every refusal is one `error:` line on stderr, never a
+traceback.  Summary lines are machine-parseable, one key=value pair per
+token.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .chirotope import Chirotope, char_signs, cocircuit_vectors, from_text, to_t
 from .enumeration import enumerate_chirotopes, enumerate_sharded, partition_search
 from .errors import DegenerateConfigError, InputError, SoundnessError
 from .points import chirotope_of, parse_points
-from .realizability import DEFAULT_RANGES, coverage_report, realize_random
+from .realizability import DEFAULT_RANGES, realize_random, verify_catalog_witnesses
 from .render import render_svg
 
 
@@ -31,6 +34,9 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except (InputError, UnicodeDecodeError, BrokenProcessPool) as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError as exc:
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(2)
         except (SoundnessError, DegenerateConfigError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -45,6 +51,16 @@ def _write_out(path, what, write, content):
         write(path, content)
     except OSError as exc:
         raise InputError(f"{path}: cannot write {what} ({exc.strerror or exc})") from exc
+
+
+def _read_verified(path):
+    """The catalog at path, with every witness checked against its record."""
+    catal = cat_mod.read_catalog(path)
+    bad = verify_catalog_witnesses(catal)
+    if bad:
+        # record i is on line i + 2, below the header
+        raise InputError(f"{path}: line {bad[0] + 2}: witness does not realize its record")
+    return catal
 
 
 def _write_text(path, text):
@@ -123,13 +139,12 @@ def enumerate_cmd(n, k, out, shards, shard, jobs):
 @_guarded
 def realize(catalog_path, trials, seed, range_, out):
     """Search for realizing point configurations of catalog records."""
-    catal = cat_mod.read_catalog(catalog_path)
+    catal = _read_verified(catalog_path)
     ranges = (range_,) if range_ is not None else DEFAULT_RANGES
     tagged, stats = realize_random(catal, trials, seed, ranges=ranges)
     if out:
         _write_out(out, "catalog", cat_mod.write_catalog, tagged)
-    report = coverage_report(tagged)
-    click.echo(stats.summary() + " " + f"total={report.total}")
+    click.echo(f"{stats.summary()} total={len(catal)}")
 
 
 @main.command()
@@ -137,7 +152,7 @@ def realize(catalog_path, trials, seed, range_, out):
 @_guarded
 def scan(catalog_path):
     """Extreme-point census over all reorientations of each record."""
-    catal = cat_mod.read_catalog(catalog_path)
+    catal = _read_verified(catalog_path)
     found_total = 0
     for i, signs in enumerate(char_signs(catal.chars)):
         rep = las_vergnas_scan(Chirotope(catal.n, catal.k, signs))

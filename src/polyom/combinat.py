@@ -142,14 +142,14 @@ def tuple_index(n, k):
 class ExchangeTable:
     """Index arrays for the batched Grassmann-Pluecker sign test.
 
-    Row p covers the ordered pair (lam, mu) with pivot lam_1 and holds
-    k+3 terms: first -chi(lam)chi(mu), then for s = 1..k+2 the product
-    chi(mu_s, lam_2, ..., lam_{k+2}) * chi(mu with mu_s replaced by
-    lam_1), each coeff[p, s] * x[left[p, s]] * x[right[p, s]]; so lam
-    and mu have ranks left[p, 0] and right[p, 0], and rows run in their
-    lex order.  Tuples with repeats contribute the constant 0 (coeff[p,s]
-    set to 0, dummy indices).  The test per row: the k+3 term signs
-    contain both +1 and -1, or all vanish.
+    Row p covers an ordered pair (lam, mu) whose pivot lam_1 lies
+    outside mu and holds k+3 terms: first -chi(lam)chi(mu), then for
+    s = 1..k+2 the product chi(mu_s, lam_2, ..., lam_{k+2}) * chi(mu
+    with mu_s replaced by lam_1), each coeff[p, s] * x[left[p, s]] *
+    x[right[p, s]]; so lam and mu have ranks left[p, 0] and right[p, 0],
+    and rows run in their lex order.  Tuples with repeats contribute the
+    constant 0 (coeff[p,s] set to 0, dummy indices).  The test per row:
+    the k+3 term signs contain both +1 and -1, or all vanish.
     """
 
     # All three are stored column by column, so the test's reductions over
@@ -162,17 +162,16 @@ class ExchangeTable:
 
 @lru_cache(maxsize=None)
 def exchange_table(n, k, prune=False):
-    """Build the pair table; with prune, drop pairs whose pivot lies in
-    mu.  There the one nonzero exchange term, at mu_s = lam_1, is
-    chi(lam)chi(mu), the first term negated, so the pair holds on every
-    sign map, zeros included.
+    """Build the pair table: the ordered pairs (lam, mu) whose pivot
+    lam_1 lies outside mu, in lex order.  A pair with lam_1 in mu has
+    one nonzero exchange term, at mu_s = lam_1, and it is
+    chi(lam)chi(mu), the first term negated, so that pair holds on every
+    sign map, zeros included.  prune is accepted and ignored; the
+    benchmark harness still passes it.
     """
     r = k + 2
     idx = tuple_index(n, k)
-    pair_lam, pair_mu = (a.ravel() for a in np.indices((len(idx.tuples),) * 2))
-    if prune:
-        keep = ~(idx.tuples[pair_mu] == idx.tuples[pair_lam, :1]).any(1)
-        pair_lam, pair_mu = pair_lam[keep], pair_mu[keep]
+    pair_lam, pair_mu = np.nonzero(~(idx.tuples[None] == idx.tuples[:, None, :1]).any(2))
     lam, mu = idx.tuples[pair_lam], idx.tuples[pair_mu]
     # Term s reads (mu_s, lam_2, ..., lam_r) as the base lam_2..lam_r plus
     # mu_s, and mu with lam_1 at position s as the base mu minus mu_s plus

@@ -44,7 +44,7 @@ from math import ceil, comb, lcm, log
 import numpy as np
 
 from .chirotope import Chirotope
-from .combinat import tuple_index
+from .combinat import sort_with_sign, tuple_index
 from .errors import DegenerateConfigError, InputError
 
 DEFAULT_RANGE = 10**6
@@ -66,10 +66,11 @@ class PointConfig:
     so equality and hash are taken on it; an integer configuration
     hashes as the tuple of its (x, y) pairs, as Fractions of the same
     values do.  points, the (Fraction, Fraction) pairs, is a view made
-    on first read.
+    on first read.  The store does not change after construction, and
+    nothing is cached on it: chirotope_of signs it on every call.
     """
 
-    __slots__ = ("xs", "ys", "scale", "_points", "_chi_cache")
+    __slots__ = ("xs", "ys", "scale", "_points")
 
     def __init__(self, points):
         rows = points if type(points) is list else list(points)
@@ -90,7 +91,6 @@ class PointConfig:
             raise InputError(f"two points share x = {Fraction(x, scale)}")
         self.scale = scale
         self._points = None
-        self._chi_cache = {}
 
     @property
     def points(self):
@@ -294,9 +294,9 @@ def tuple_signs(xs, ys, k):
 def chi_point(config, k, t):
     """Degree-k sign of a (k+2)-tuple of elements of the configuration.
 
-    The determinant sign of the lifted rows in tuple order: the sign of
-    the sorted tuple in the configuration's chirotope times the sorting
-    parity, 0 on repeats.
+    The determinant sign of the lifted rows in tuple order, 0 on
+    repeats: the sorting parity times the sign of the sorted tuple, which
+    one tuple_signs call takes on those k+2 points of the store.
     """
     t = tuple(t)
     n = len(config)
@@ -305,28 +305,28 @@ def chi_point(config, k, t):
             raise InputError(f"element {e} outside [1, {n}]")
     if len(t) != k + 2:
         raise InputError(f"expected a {k + 2}-tuple, got {t}")
-    if len(set(t)) < len(t):
+    parity, srt = sort_with_sign(t)
+    if parity == 0:
         return 0
-    return chirotope_of(config, k).value(t)
+    if k < 1:
+        raise InputError(f"degree must be at least 1, got {k}")
+    xs, ys = ([v[e - 1] for e in srt] for v in (config.xs, config.ys))
+    return parity * int(tuple_signs([xs], [ys], k)[0, 0])
 
 
 def chirotope_of(config, k):
     """The degree-k chirotope of a configuration, on sorted tuples: the
     signs of its integer store, xs and ys over their common denominator,
-    which has the same signs as the points."""
+    which has the same signs as the points.  Each call signs the store
+    afresh; nothing is cached on the configuration."""
     n = len(config)
     if k < 1:
         raise InputError(f"degree must be at least 1, got {k}")
     if n < k + 2:
         raise InputError(f"need at least k+2 = {k + 2} points, got {n}")
-    cached = config._chi_cache.get(k)
-    if cached is not None:
-        return cached
     # The stored numerators are the points times the positive common
     # denominator L, which scales each determinant by L^(k(k+1)/2+1).
-    chi = Chirotope(n, k, tuple_signs([config.xs], [config.ys], k)[0])
-    config._chi_cache[k] = chi
-    return chi
+    return Chirotope(n, k, tuple_signs([config.xs], [config.ys], k)[0])
 
 
 def newton_coeffs(xs, ys):
@@ -489,7 +489,6 @@ def random_config(n, k, seed, coordinate_range=DEFAULT_RANGE, max_tries=DEFAULT_
     )
 
 
-_INTEGER = re.compile("-?[0-9]+").fullmatch  # tokens int() reads, faster than Fraction
 # The decimal spellings with an exponent that Fraction(str) reads; group 1
 # is the exponent.  Fraction computes 10 ** exponent, so a coordinate whose
 # exponent passes the digit limit that int() puts on an integer token is
@@ -502,12 +501,14 @@ _MAX_DIGITS = 4300  # Python's default limit on int(str)
 
 def _fraction(token):
     """The value of token as Fraction(token) reads it, with an exponent
-    beyond _MAX_DIGITS refused.  A token spelled -?[0-9]+ is read by
-    int(), which Fraction(str) calls too, and stays an int, so integer
-    points reach PointConfig without a Fraction; any other is a
-    Fraction."""
-    if _INTEGER(token):
+    beyond _MAX_DIGITS refused.  A token that int() reads has that value
+    as a Fraction too (Fraction(str) reads its digits with int()), and
+    stays an int, so integer points reach PointConfig without a
+    Fraction; any other goes to Fraction."""
+    try:
         return int(token)
+    except ValueError:
+        pass
     exp = _EXPONENT(token)
     if exp and abs(int(exp[1])) > _MAX_DIGITS:
         raise ValueError(f"Exceeds the limit ({_MAX_DIGITS} digits) for a coordinate's exponent")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chirotope import leading_signs, sign_chars
 from .errors import InputError, SoundnessError
-from .points import PointConfig, check_draw, chirotope_of, draw_uniform, tuple_signs
+from .points import PointConfig, check_draw, draw_uniform, tuple_signs
 
 DEFAULT_RANGES = (8, 32, 128, 1024, 32768, 10**6)
 
@@ -119,14 +119,6 @@ def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
     return tagged, stats
 
 
-def verify_witness(record, config, k):
-    """Does the configuration's canonical degree-k chirotope match?"""
-    if len(record) == 0:
-        return False
-    chi = chirotope_of(config, k)
-    return chi.canonicalize().sign_string() == record
-
-
 def verify_catalog_witnesses(catalog):
     """Indices of tagged records whose stored witness fails to verify.
 
@@ -150,33 +142,3 @@ def verify_catalog_witnesses(catalog):
         bad += [block[j] for j in np.flatnonzero(wrong).tolist()]
     return tuple(sorted(bad))
 
-
-@dataclass(frozen=True)
-class CoverageReport:
-    n: int
-    k: int
-    total: int
-    realizable: int
-    unknown: int
-    reference: object = None
-
-    def summary(self):
-        line = f"realizable={self.realizable} unknown={self.unknown} total={self.total}"
-        if isinstance(self.reference, tuple):
-            line += f" reference_low={self.reference[0]} reference_high={self.reference[1]}"
-        elif self.reference is not None:
-            line += f" reference={self.reference}"
-        return line
-
-
-def coverage_report(catalog):
-    """How much of the catalog carries witnesses, against reference counts."""
-    realizable = catalog.realizable_count()
-    return CoverageReport(
-        n=catalog.n,
-        k=catalog.k,
-        total=len(catalog),
-        realizable=realizable,
-        unknown=len(catalog) - realizable,
-        reference=REFERENCE_REALIZABLE.get((catalog.n, catalog.k)),
-    )

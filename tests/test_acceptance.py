@@ -162,12 +162,11 @@ def test_criterion_5_oracle_cross_check():
 def test_criterion_6_realizability_coverage():
     cat = Catalog(6, 2, tuple(catalog_strings(6, 2)))
     tagged, stats = pm.realize_random(cat, trials=10**6, seed=0)
-    rep = pm.coverage_report(tagged)
-    print(f"criterion 6: PASS ({rep.summary()} trials={stats.trials} seed=0)", flush=True)
+    print(f"criterion 6: PASS ({stats.summary()} total={len(tagged)})", flush=True)
     # coverage itself is reported, not asserted; soundness and witness
     # verification are binding
     assert pm.verify_catalog_witnesses(tagged) == ()
-    assert rep.realizable + rep.unknown == 74
+    assert stats.realizable + stats.unknown == len(tagged) == 74
 
 
 def _unimodal_transitive_masks(signs, n, k):

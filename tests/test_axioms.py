@@ -105,9 +105,12 @@ def b3_maps(rng, n, k, count):
 
 
 def test_B3_matches_the_reference_table():
+    """check_B3 reads only the pairs whose pivot lies outside mu, on maps
+    with zeros too; its verdict and witness are those of the first
+    failing pair of the full reference rows."""
     rng = random.Random(16)
     cases = {(3, 1): 30, (4, 2): 30, (5, 3): 30, (5, 1): 300, (6, 1): 600, (5, 2): 300,
-             (6, 2): 900, (7, 2): 600, (6, 3): 300}
+             (6, 2): 900, (7, 2): 600, (6, 3): 300, (7, 3): 300, (8, 4): 300}
     checked = failing = zeros = 0
     for (n, k), count in cases.items():
         for chi in b3_maps(rng, n, k, count):
@@ -117,15 +120,15 @@ def test_B3_matches_the_reference_table():
             checked += 1
             failing += not rep.passed
             zeros += not chi.is_uniform()
-    assert checked == 3090
+    assert checked == 3690
     assert 600 < failing < 2400 and 600 < zeros < 2400
 
 
 def test_B3_on_k_plus_two_elements():
-    # one tuple: the pruned table is empty, the full one holds the pair (lam, lam)
+    # one tuple: the table is empty, the full reference holds the pair (lam, lam)
     for k in (1, 2, 5):
-        assert len(exchange_table(k + 2, k, True).coeff) == 0
-        assert len(exchange_table(k + 2, k, False).coeff) == 1
+        assert len(exchange_table(k + 2, k, False).coeff) == 0
+        assert len(reference_exchange_rows(k + 2, k, False)) == 1
         for sign in (1, 0, -1):
             assert pm.check_B3(Chirotope(k + 2, k, [sign])).passed
         chars = np.array([[ord("+")], [ord("-")]], np.uint8)
@@ -146,7 +149,7 @@ def test_exchange_filter_matches_check_B3_on_flips(n, k, monkeypatch):
     assert 1000 < (~mask).sum() < 2000
     assert exchange_filter_mask(chars, n, k).all()
     # blocks of one row and of seven rows give the same mask
-    size = exchange_table(n, k, True).coeff.size
+    size = exchange_table(n, k, False).coeff.size
     for budget in (1, 7 * size):
         monkeypatch.setattr(axioms, "EXCHANGE_CHUNK", budget)
         assert exchange_filter_mask(flipped, n, k).tolist() == passed

@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "polybench"))
 import spans  # noqa: E402
 
 import polyom as pm  # noqa: E402
+from polyom import combinat  # noqa: E402
 from polyom.chirotope import records_of  # noqa: E402
 
 
@@ -87,3 +88,21 @@ def test_realized_witness_equals_its_points_as_fractions(tmp_path):
         fractions = pm.PointConfig([(Fraction(x), Fraction(y)) for x, y in wit.points])
         assert wit == fractions == read
         assert hash(wit) == hash(fractions) == hash(read) == hash(wit.points)
+
+
+def test_warmed_tables_serve_the_checks_the_census_times():
+    """The census warms its index tables before its timed sections; a
+    check that reads an exchange table the harness did not warm builds
+    it inside one.  lru_cache keys on the argument pattern, so a uniform
+    record and a map with zeros must read the entry that
+    warm_index_tables makes."""
+    workloads = importlib.import_module("workloads")
+    record = pm.Chirotope(8, 4, pm.signs_from_string(pm.enumerate_chirotopes(8, 4).strings()[100]))
+    grid = pm.chirotope_of(pm.PointConfig([(0, 0), (1, 1), (2, 2), (3, 3), (4, 1), (5, 3)]), 2)
+    assert record.is_uniform() and not grid.is_uniform()
+    workloads.clear_index_tables()
+    workloads.warm_index_tables([(8, 4), (6, 2)])
+    misses = combinat.exchange_table.cache_info().misses
+    assert pm.check_degree_k(record).passed
+    pm.check_degree_k(grid)
+    assert combinat.exchange_table.cache_info().misses == misses

@@ -183,12 +183,3 @@ def test_signs_from_string():
     assert arr.tolist() == [1, -1, 0]
     with pytest.raises(pm.InputError):
         signs_from_string("+*")
-
-
-def test_restrict_matches_subconfiguration():
-    cfg = pm.random_config(7, 2, seed=8)
-    chi = pm.chirotope_of(cfg, 2)
-    sub = pm.PointConfig(cfg.points[:6])
-    assert chi.restrict(range(1, 7)) == pm.chirotope_of(sub, 2)
-    with pytest.raises(pm.InputError):
-        chi.restrict([1, 2])

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import polyom as pm
 from polyom.cli import main
 from test_c3_reference import benchmark_grid_maps, packed_c3, reference_check, reference_check_uniform
-from test_catalog import run_bounded
+from test_catalog import rehash, run_bounded
 from test_cocircuit_reference import reference_cocircuit_vectors, reference_scan
 
 CUBIC = "0 0\n1 1\n2 8\n3 27\n"
@@ -532,3 +532,49 @@ def test_oversized_input_exits_two_at_once(tmp_path, text, args, message):
     run = run_bounded("from polyom.cli import main; main()", args[0], path, *args[1:], seconds=5)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == f"error: {message}\n"
+
+
+def test_wrong_witness_is_refused_on_read(tmp_path):
+    # the catalog of test_verify_catalog_flags_swapped_witnesses: the
+    # witnesses of records 0 and 1 swapped, header digest recomputed
+    tagged, _ = pm.realize_random(pm.from_enumeration(pm.enumerate_chirotopes(6, 2)), 300, seed=0)
+    wits = list(tagged.witnesses)
+    wits[0], wits[1] = wits[1], wits[0]
+    path = tmp_path / "swapped.cat"
+    pm.write_catalog(path, tagged.with_witnesses(wits))
+    out = tmp_path / "out.cat"
+    for args in (["scan"], ["realize", "--trials", "0", "--out", str(out)]):
+        result = invoke(args + ["--catalog", str(path)])
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert result.stderr == f"error: {path}: line 2: witness does not realize its record\n", args
+    assert not out.exists()
+    # a witness whose signs are all 0, below a record without one
+    recs = pm.enumerate_chirotopes(5, 2).strings()
+    path.write_bytes(rehash(5, 2, [f"{recs[0]} U", f"{recs[1]} R 0 0 1 1 2 2 3 3 4 4"]))
+    result = invoke(["scan", "--catalog", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: {path}: line 3: witness does not realize its record\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, args",
+    [
+        # the scan's 2^39 reorientation masks take 4 TiB
+        ("c.cat", rehash(38 + 2, 38, ["+"]), ["scan", "--catalog"]),
+        # the exchange table of C(100, 3) tuples takes tens of GiB
+        ("chi.txt", b"n=100 k=1\n" + b"+" * 161700 + b"\n", ["check"]),
+    ],
+    ids=["scan", "check"],
+)
+def test_input_too_large_for_memory_exits_two(tmp_path, name, text, args):
+    # the address space is capped at 3 GiB, so that nothing of such a
+    # size is allocated; numpy then raises MemoryError
+    path = tmp_path / name
+    path.write_bytes(text)
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+        "from polyom.cli import main; main()"
+    )
+    run = run_bounded(code, *args, str(path), seconds=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: Unable to allocate ") and run.stderr.count("\n") == 1

@@ -4,7 +4,7 @@ The references are the straightforward loops: one sorted tuple per
 (base, element) pair for the cocircuits, a per-mask bookkeeping loop for
 the scan's histogram and best reorientation, one row at a time for the
 nonnegative cocircuits of a sign-vector set, one tuple at a time for
-reorientation and restriction.
+reorientation.
 """
 
 import itertools
@@ -97,13 +97,6 @@ def reference_reorient(chi, subset):
         for s, t in zip(chi.signs.tolist(), all_tuples(chi.n, chi.r))
     ]
     return pm.Chirotope(chi.n, chi.k, signs)
-
-
-def reference_restrict(chi, elements):
-    kept = sorted(set(elements))
-    rank = {t: i for i, t in enumerate(all_tuples(chi.n, chi.r))}
-    sub = [chi.signs[rank[t]] for t in itertools.combinations(kept, chi.r)]
-    return pm.Chirotope(len(kept), chi.k, sub)
 
 
 def wide_grid_maps(seed, n, k, count):
@@ -359,23 +352,18 @@ def test_extreme_points_on_wide_chirotopes(n):
                     pm.extreme_points(re)
 
 
-def test_reorient_and_restrict_match_reference():
+def test_reorient_matches_reference():
     maps = catalog_maps(6, 2)[::7] + catalog_maps(7, 3)[::20] + grid_maps(5, 7, 2, 4)
     for chi in maps:
         ground = range(1, chi.n + 1)
         for size in range(chi.n + 1):
             for subset in itertools.combinations(ground, size):
                 assert chi.reorient(subset) == reference_reorient(chi, subset)
-                if size >= chi.r:
-                    assert chi.restrict(subset) == reference_restrict(chi, subset)
     chi = maps[0]
     assert chi.reorient([3, 3, 1]) == reference_reorient(chi, [1, 3])
-    assert chi.restrict([6, 1, 2, 4, 2]) == reference_restrict(chi, [1, 2, 4, 6])
     for bad in ([0], [chi.n + 1]):
-        with pytest.raises(pm.InputError):
+        with pytest.raises(pm.InputError, match=f"^reorientation element {bad[0]} outside"):
             chi.reorient(bad)
-        with pytest.raises(pm.InputError):
-            chi.restrict(list(ground) + bad)
 
 
 def unique_cocircuit_vectors(chi):

@@ -93,16 +93,17 @@ def test_var_windows_consistency():
 
 
 def test_exchange_table_shapes():
-    tab = exchange_table(5, 2, False)
+    tab = exchange_table(6, 2, False)
     assert tab.left.shape == tab.right.shape == tab.coeff.shape
     assert tab.coeff.shape[1] == 5  # k + 3 terms per pair
-    assert len(tab.coeff) == comb(5, 4) ** 2  # every ordered pair
+    # every ordered pair whose mu avoids lam's pivot: C(6, 4) lam, C(5, 4) mu each
+    assert len(tab.coeff) == comb(6, 4) * comb(5, 4) == 75
 
 
 def test_exchange_table_prune_drops_pivot_in_mu():
-    full = exchange_table(6, 2, False)
-    pruned = exchange_table(6, 2, True)
-    pairs_full = set(zip(full.left[:, 0].tolist(), full.right[:, 0].tolist()))
+    full = reference_exchange_rows(6, 2, False)
+    pruned = exchange_table(6, 2, False)
+    pairs_full = {(li, mi) for li, mi, *_ in full}
     pairs_pruned = set(zip(pruned.left[:, 0].tolist(), pruned.right[:, 0].tolist()))
     assert pairs_pruned < pairs_full
     tuples = all_tuples(6, 4)
@@ -112,19 +113,22 @@ def test_exchange_table_prune_drops_pivot_in_mu():
         assert tuples[li][0] in tuples[mi]
     # a dropped pair's one nonzero exchange term is +chi(lam)chi(mu), against
     # the first term -chi(lam)chi(mu): the pair holds on every map, zeros too
-    rows = zip(full.left.tolist(), full.right.tolist(), full.coeff.tolist())
-    dropped = [row for row in rows if (row[0][0], row[1][0]) not in pairs_pruned]
+    dropped = [row for row in full if row[:2] not in pairs_pruned]
     assert len(dropped) == len(pairs_full - pairs_pruned)
-    for left, right, coeff in dropped:
+    for li, mi, left, right, coeff in dropped:
         (s,) = [s for s in range(1, len(coeff)) if coeff[s]]
-        assert (left[s], right[s], coeff[s]) == (left[0], right[0], 1)
+        assert (left[s], right[s], coeff[s]) == (li, mi, 1)
+    # the kept rows are the full table's, in its order
+    assert [row for row in full if row[:2] in pairs_pruned] == reference_exchange_rows(6, 2, True)
 
 
 TABLE_CASES = [(n, k) for k in range(1, 6) for n in range(k + 2, 10) if n - k <= 5 or k == 1]
 
 
 def reference_exchange_rows(n, k, uniform_prune):
-    """The pair table row by row, one sort_with_sign per factor."""
+    """The pair table row by row, one sort_with_sign per factor: every
+    ordered pair, or with uniform_prune only those whose pivot lam_1
+    lies outside mu."""
     r = k + 2
     tuples = all_tuples(n, r)
     rank = {t: i for i, t in enumerate(tuples)}
@@ -148,9 +152,9 @@ def reference_exchange_rows(n, k, uniform_prune):
 
 @pytest.mark.parametrize("n,k", TABLE_CASES)
 def test_exchange_table_matches_per_pair_reference(n, k):
-    for prune in (False, True):
+    ref = reference_exchange_rows(n, k, True)
+    for prune in (False, True):  # ignored: both give the pruned table
         tab = exchange_table(n, k, prune)
-        ref = reference_exchange_rows(n, k, prune)
         assert (tab.left.dtype, tab.right.dtype, tab.coeff.dtype) == (np.int32, np.int32, np.int8)
         assert tab.left[:, 0].tolist() == [row[0] for row in ref]
         assert tab.right[:, 0].tolist() == [row[1] for row in ref]

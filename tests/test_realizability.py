@@ -76,9 +76,10 @@ def test_missing_record_raises_soundness_error():
 
 def test_verify_witness():
     cfg = pm.PointConfig([(0, 0), (1, 1), (2, 8), (3, 27)])
-    assert pm.verify_witness("+", cfg, 2)
-    assert not pm.verify_witness("-", cfg, 2)
-    assert not pm.verify_witness("", cfg, 2)
+    flat = pm.PointConfig([(0, 0), (1, 1), (2, 2), (3, 3)])  # its one sign is 0
+    five = pm.PointConfig([(0, 0), (1, 1), (2, 8), (3, 27), (4, 64)])
+    for wit, bad in [(cfg, ()), (flat, (0,)), (five, (0,)), (None, ())]:
+        assert pm.verify_catalog_witnesses(Catalog(4, 2, ("+",), (wit,))) == bad
 
 
 def test_verify_catalog_flags_perturbed_witness():
@@ -169,22 +170,6 @@ def test_witness_coordinates_within_range():
     for x, y in wit.points:
         assert abs(x) <= 8 and abs(y) <= 8
         assert x.denominator == 1 and y.denominator == 1
-
-
-def test_coverage_report_known_reference():
-    tagged, _ = pm.realize_random(catalog(5, 2), trials=200, seed=0)
-    rep = pm.coverage_report(tagged)
-    assert rep.realizable == 5 and rep.reference == 5
-    assert rep.summary() == "realizable=5 unknown=0 total=5 reference=5"
-
-
-def test_coverage_report_bounds_and_unknown_reference():
-    rep = pm.coverage_report(Catalog(8, 2, ()))
-    assert rep.reference == (830850, 838204)
-    assert "reference_low=830850" in rep.summary()
-    none = pm.coverage_report(Catalog(9, 2, ()))
-    assert none.reference is None
-    assert none.summary() == "realizable=0 unknown=0 total=0"
 
 
 def test_reference_table_consistent_with_enumeration():
