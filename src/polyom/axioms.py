@@ -22,21 +22,13 @@ from .combinat import exchange_table, lex_unrank
 from .errors import InputError
 
 
-def _jsonable(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 @dataclass(frozen=True)
 class AxiomReport:
-    """Verdict of one check, with the first offending witness on failure."""
+    """Verdict of one check, with the first offending witness on failure.
+
+    A witness is a tuple of Python ints and tuples of ints, so it goes
+    to JSON as it is; the text form prints the same JSON.
+    """
 
     passed: bool
     axiom: str = ""
@@ -51,7 +43,7 @@ class AxiomReport:
             return "PASS" + (f" ({self.note})" if self.note else "")
         parts = [f"FAIL {self.axiom}"]
         if self.witness:
-            parts.append(f"witness={_jsonable(self.witness)}")
+            parts.append(f"witness={json.dumps(self.witness)}")
         if self.note:
             parts.append(f"({self.note})")
         return " ".join(parts)
@@ -61,7 +53,7 @@ class AxiomReport:
             {
                 "passed": self.passed,
                 "axiom": self.axiom,
-                "witness": _jsonable(self.witness),
+                "witness": self.witness,
                 "note": self.note,
             },
             sort_keys=True,

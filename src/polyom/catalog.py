@@ -48,7 +48,7 @@ import numpy as np
 from .chirotope import (
     ascending, char_signs, leading_signs, plus_minus, record_chars, record_lines, records_of,
 )
-from .combinat import comb_upto
+from .combinat import check_case, comb_upto
 from .errors import CatalogIntegrityError, InputError
 from .points import PointConfig, _fraction
 
@@ -68,8 +68,7 @@ class Catalog:
     """
 
     def __init__(self, n, k, records, witnesses=None):
-        if k < 1 or n < k + 2:
-            raise InputError(f"catalog needs k >= 1 and n >= k+2, got n={n} k={k}")
+        check_case(n, k)
         matrix = isinstance(records, np.ndarray)
         first = len(records[0]) if len(records) else 0
         # comb(n, k + 2) only as far as the first record's length: a record

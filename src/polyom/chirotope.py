@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .combinat import comb_upto, lex_rank, sort_with_sign, tuple_index, window_index
+from .combinat import check_case, comb_upto, lex_rank, sort_with_sign, tuple_index, window_index
 from .errors import InputError
 
 # int8 signs 0, +1, -1 as bytes, their characters; others decode to 2
@@ -28,10 +28,7 @@ class Chirotope:
     __slots__ = ("n", "k", "signs")
 
     def __init__(self, n, k, signs):
-        if k < 1:
-            raise InputError(f"degree must be at least 1, got {k}")
-        if n < k + 2:
-            raise InputError(f"need at least k+2 = {k + 2} elements, got n = {n}")
+        check_case(n, k)
         arr = np.array(signs if isinstance(signs, np.ndarray) else list(signs))
         # comb(n, k + 2) only up to 2^63: a large n and k must not cost comb
         want = comb_upto(n, k + 2, _MAX_COUNT)

@@ -23,7 +23,7 @@ from .chirotope import Chirotope, char_signs, cocircuit_vectors, from_text, to_t
 from .enumeration import enumerate_chirotopes, enumerate_sharded, partition_search
 from .errors import DegenerateConfigError, InputError, SoundnessError
 from .points import chirotope_of, parse_points
-from .realizability import DEFAULT_RANGES, realize_random, verify_catalog_witnesses
+from .realizability import realize_random, verify_catalog_witnesses
 from .render import render_svg
 
 
@@ -140,7 +140,7 @@ def enumerate_cmd(n, k, out, shards, shard, jobs):
 def realize(catalog_path, trials, seed, range_, out):
     """Search for realizing point configurations of catalog records."""
     catal = _read_verified(catalog_path)
-    ranges = (range_,) if range_ is not None else DEFAULT_RANGES
+    ranges = None if range_ is None else (range_,)
     tagged, stats = realize_random(catal, trials, seed, ranges=ranges)
     if out:
         _write_out(out, "catalog", cat_mod.write_catalog, tagged)

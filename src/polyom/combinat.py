@@ -5,6 +5,9 @@ A sign map on (k+2)-tuples is stored densely, indexed by lexicographic
 rank.  The tuple table, the window table and the exchange-pair table built
 here are cached per (n, k) because the predicate, every checker and the
 enumeration engine consume them.
+
+Every entry point that takes n and k checks them with check_case: a
+degree k >= 1 and n >= k+2 elements, so that a (k+2)-tuple exists.
 """
 
 from __future__ import annotations
@@ -17,6 +20,18 @@ from math import comb
 import numpy as np
 
 from .errors import InputError
+
+
+def _check_degree(k):
+    if k < 1:
+        raise InputError(f"degree must be at least 1, got {k}")
+
+
+def check_case(n, k):
+    """Raise InputError unless k >= 1 and n >= k+2."""
+    _check_degree(k)
+    if n < k + 2:
+        raise InputError(f"need at least k+2 = {k + 2} elements, got n = {n}")
 
 
 def sort_with_sign(t):

@@ -60,8 +60,8 @@ from functools import partial
 import numpy as np
 
 from .axioms import _exchange_failures
-from .chirotope import Chirotope, bit_chars, bit_order, char_signs, records_of
-from .combinat import tuple_index, window_index
+from .chirotope import bit_chars, bit_order, char_signs, records_of
+from .combinat import check_case, tuple_index, window_index
 from .errors import InputError
 
 # elements (keys x P rows x words) per temporary of the key match
@@ -202,22 +202,8 @@ class EnumerationResult:
     def strings(self):
         return records_of(self.chars)
 
-    def sign_rows(self):
-        return char_signs(self.chars)
-
-    def chirotopes(self):
-        for row in self.sign_rows():
-            yield Chirotope(self.n, self.k, row)
-
     def summary(self):
         return f"unimodal={self.unimodal_count} degree_k={self.count}"
-
-
-def _check_case(n, k):
-    if k < 1:
-        raise InputError(f"degree must be at least 1, got {k}")
-    if n < k + 2:
-        raise InputError(f"need n >= k+2, got n={n} k={k}")
 
 
 def _check_shards(of_shards):
@@ -227,7 +213,7 @@ def _check_shards(of_shards):
 
 def enumerate_chirotopes(n, k):
     """All degree-k chirotopes on [n] up to global sign, lex order."""
-    _check_case(n, k)
+    check_case(n, k)
     return _sorted_result(n, k, _top_join(n, k).rows())
 
 
@@ -242,7 +228,7 @@ def partition_search(n, k, shard, of_shards):
     _check_shards(of_shards)
     if not 0 <= shard < of_shards:
         raise InputError(f"shard {shard} outside [0, {of_shards})")
-    _check_case(n, k)
+    check_case(n, k)
     return _sorted_result(n, k, _top_join(n, k).rows(shard, of_shards))
 
 
@@ -269,7 +255,7 @@ def enumerate_sharded(n, k, of_shards, jobs=1):
     pickled once per worker otherwise) and return their rows unsorted.
     """
     _check_shards(of_shards)
-    _check_case(n, k)
+    check_case(n, k)
     join = _top_join(n, k)
     if jobs > 1:
         # the fork start method starts every worker at once: none idle

@@ -44,7 +44,7 @@ from math import ceil, comb, lcm, log
 import numpy as np
 
 from .chirotope import Chirotope
-from .combinat import sort_with_sign, tuple_index
+from .combinat import check_case, sort_with_sign, tuple_index
 from .errors import DegenerateConfigError, InputError
 
 DEFAULT_RANGE = 10**6
@@ -300,6 +300,7 @@ def chi_point(config, k, t):
     """
     t = tuple(t)
     n = len(config)
+    check_case(n, k)
     for e in t:
         if not 1 <= e <= n:
             raise InputError(f"element {e} outside [1, {n}]")
@@ -308,8 +309,6 @@ def chi_point(config, k, t):
     parity, srt = sort_with_sign(t)
     if parity == 0:
         return 0
-    if k < 1:
-        raise InputError(f"degree must be at least 1, got {k}")
     xs, ys = ([v[e - 1] for e in srt] for v in (config.xs, config.ys))
     return parity * int(tuple_signs([xs], [ys], k)[0, 0])
 
@@ -320,10 +319,7 @@ def chirotope_of(config, k):
     which has the same signs as the points.  Each call signs the store
     afresh; nothing is cached on the configuration."""
     n = len(config)
-    if k < 1:
-        raise InputError(f"degree must be at least 1, got {k}")
-    if n < k + 2:
-        raise InputError(f"need at least k+2 = {k + 2} points, got {n}")
+    check_case(n, k)
     # The stored numerators are the points times the positive common
     # denominator L, which scales each determinant by L^(k(k+1)/2+1).
     return Chirotope(n, k, tuple_signs([config.xs], [config.ys], k)[0])
@@ -358,6 +354,7 @@ def lagrange_sign(config, k, base, e):
     appended with e.
     """
     n = len(config)
+    check_case(n, k)
     base = tuple(base)
     if len(base) != k + 1:
         raise InputError(f"base must have k+1 = {k + 1} elements, got {base}")
@@ -377,8 +374,7 @@ def lagrange_sign(config, k, base, e):
 
 def check_draw(n, k, coordinate_range):
     """The integer range r of a draw of n points over [-r, r] at degree k."""
-    if n < k + 2:
-        raise InputError(f"need at least k+2 = {k + 2} points, got n = {n}")
+    check_case(n, k)
     r = int(coordinate_range)
     if r < 1:
         raise InputError("coordinate range must be positive")

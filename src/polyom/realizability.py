@@ -68,7 +68,7 @@ class RealizeStats:
         )
 
 
-def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
+def realize_random(catalog, trials, seed, ranges=None, max_tries=200):
     """Tag catalog records with witnesses found by random search.
 
     Returns (tagged catalog, stats).  Trial t uses ranges[t mod len] and
@@ -76,10 +76,18 @@ def realize_random(catalog, trials, seed, ranges=DEFAULT_RANGES, max_tries=200):
     not depend on the total and coverage is monotone in trials.  Raises
     SoundnessError when a drawn configuration's canonical chirotope is
     not a catalog record.
+
+    ranges=None is the sweep of DEFAULT_RANGES less the ranges [-r, r]
+    too small to hold n distinct x-values, which for n <= 17 is all of
+    it.  Every range given explicitly must hold them.
     """
     if trials < 0:
         raise InputError(f"trial count must be non-negative, got {trials}")
     n, k = catalog.n, catalog.k
+    if ranges is None:
+        ranges = tuple(r for r in DEFAULT_RANGES if 2 * r + 1 >= n)
+    if not ranges:
+        raise InputError(f"no coordinate range to draw {n} points from")
     used = [check_draw(n, k, r) for r in ranges[:trials]]
     witnesses = list(catalog.witnesses) if catalog.tagged else [None] * len(catalog)
     degenerate = 0

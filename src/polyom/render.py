@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinat import lex_rank
+from .combinat import _check_degree, lex_rank
 from .errors import InputError
 from .points import chirotope_of, newton_coeffs, newton_eval
 
@@ -30,9 +30,12 @@ def render_svg(
 
     Each curve interpolates points (i, ..., i+k); samples are spread
     uniformly over the x-span.  With annotate, the signs of the
-    consecutive (k+2)-tuples are listed in a corner block.
+    consecutive (k+2)-tuples are listed in a corner block.  The degree
+    is checked as everywhere (k >= 1), but curves need only k+1 points;
+    the block appears when there are k+2.
     """
     n = len(config)
+    _check_degree(k)
     if n < k + 1:
         raise InputError(f"rendering degree {k} needs at least {k + 1} points")
     if samples < 2:

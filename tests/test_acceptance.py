@@ -15,6 +15,7 @@ import pytest
 
 import polyom as pm
 from polyom.catalog import Catalog, format_catalog, from_enumeration
+from polyom.chirotope import char_signs
 from polyom.combinat import window_index
 from polyom.enumeration import exchange_filter_mask
 from reference_search import brute_force_strings, search_chirotopes
@@ -185,7 +186,7 @@ def test_criterion_7_unimodal_implies_transitivity():
     cases = sorted(REQUIRED_COUNTS) + [(n, 1) for n in range(3, 9)]
     rows = 0
     for (n, k) in cases:
-        signs = catalog_result(n, k).sign_rows()
+        signs = char_signs(catalog_result(n, k).chars)
         for lo in range(0, len(signs), 50000):
             uni, trans = _unimodal_transitive_masks(signs[lo : lo + 50000], n, k)
             assert uni.all()

@@ -11,7 +11,7 @@ from polyom import axioms
 from polyom.chirotope import Chirotope, char_signs, signs_from_string, window_signs
 from polyom.combinat import all_tuples, exchange_table, lex_unrank
 from polyom.enumeration import exchange_filter_mask
-from test_c3_reference import complete, packed_c3, reference_check_uniform
+from test_c3_reference import catalog_maps, complete, packed_c3, reference_check_uniform
 from test_combinat import reference_exchange_rows
 
 
@@ -273,7 +273,11 @@ def test_report_serialization():
     assert data["passed"] is False
     assert data["axiom"] == "unimodal"
     assert data["witness"][0] == [1, 2, 3, 4, 5]
-    assert rep.text().startswith("FAIL unimodal")
+    # the text form prints the witness as the JSON form does
+    assert rep.text() == (
+        "FAIL unimodal witness=[[1, 2, 3, 4, 5], [1, -1, 1, 1, 1]] "
+        "(window sign sequence changes more than once)"
+    )
     assert pm.check_B1(Chirotope(4, 2, [1])).text() == "PASS"
 
 
@@ -444,7 +448,7 @@ def test_cocircuit_axioms_exhaustive_on_catalogs():
     cases = [(2, 6), (3, 6), (4, 7), (5, 8)]
     for k, nmax in cases:
         for n in range(k + 2, nmax + 1):
-            for chi in pm.enumerate_chirotopes(n, k).chirotopes():
+            for chi in catalog_maps(n, k):
                 vecs = pm.cocircuit_vectors(chi)
                 assert ((vecs == 0).sum(axis=1) == k + 1).all()
                 assert pm.check_cocircuit_axioms(vecs).passed, (n, k)
@@ -453,7 +457,7 @@ def test_cocircuit_axioms_exhaustive_on_catalogs():
 def test_cocircuit_sets_injective_small():
     for n in (4, 5, 6):
         seen = set()
-        for chi in pm.enumerate_chirotopes(n, 2).chirotopes():
+        for chi in catalog_maps(n, 2):
             key = pm.cocircuit_vectors(chi).tobytes()
             assert key not in seen
             seen.add(key)

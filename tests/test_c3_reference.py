@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import polyom as pm
 import polyom.axioms as axioms
 from polyom.axioms import AxiomReport, _c3_general
+from polyom.chirotope import char_signs
 from test_properties import PROPS, sign_matrices
 
 _PASS = AxiomReport(True)
@@ -171,6 +172,12 @@ def assert_same(M):
     want = reference_c3(M)
     assert packed_c3(M) == want, M.tolist()
     return want
+
+
+def catalog_maps(n, k, stride=1):
+    """Every stride-th record of the (n, k) catalog as a Chirotope."""
+    rows = char_signs(pm.enumerate_chirotopes(n, k).chars)[::stride]
+    return [pm.Chirotope(n, k, row) for row in rows]
 
 
 def benchmark_grid_maps(seed, n, k, mix):
@@ -365,7 +372,7 @@ CATALOG_CORPUS = {(6, 2): 1, (7, 2): 64, (8, 4): 8, (9, 5): 40, (7, 3): 2}
 def test_both_paths_on_catalog_records_and_variants(n, k):
     rng = random.Random(f"corpus-{n}-{k}")
     verdicts = Counter()
-    for chi in list(pm.enumerate_chirotopes(n, k).chirotopes())[:: CATALOG_CORPUS[n, k]]:
+    for chi in catalog_maps(n, k, CATALOG_CORPUS[n, k]):
         for M in variants(np.array(pm.cocircuit_vectors(chi)), rng):
             verdicts[assert_both_paths(M)] += 1
     assert verdicts["PASS"] and verdicts["C1"] and verdicts["C3"]
@@ -374,7 +381,7 @@ def test_both_paths_on_catalog_records_and_variants(n, k):
 def test_both_paths_on_widened_sets():
     rng = random.Random(130)
     base = [pm.cocircuit_vectors(chi) for chi in benchmark_grid_maps(3, 6, 2, (1, 1))]
-    base += [pm.cocircuit_vectors(chi) for chi in list(pm.enumerate_chirotopes(7, 2).chirotopes())[:20:7]]
+    base += [pm.cocircuit_vectors(chi) for chi in catalog_maps(7, 2)[:20:7]]
     verdicts = Counter()
     for width in (63, 64, 70, 127, 130):
         for M in base:
@@ -570,7 +577,7 @@ def negation_closed_corpus(rng):
     """Cocircuit sets of catalog records and of their single-sign flips,
     and random sets R with -R, each shuffled with repeated rows."""
     for (n, k), stride in sorted(ORBIT_CORPUS.items()):
-        for chi in list(pm.enumerate_chirotopes(n, k).chirotopes())[::stride]:
+        for chi in catalog_maps(n, k, stride):
             signs = chi.signs.copy()
             t = rng.randrange(len(signs))
             signs[t] = -signs[t] or 1

@@ -213,10 +213,16 @@ def test_records_must_strictly_increase():
 
 
 def test_header_degree_and_size_checked():
-    for n, k in ((4, 0), (5, -1), (3, 2), (5, 4)):
-        with pytest.raises(pm.InputError, match="k >= 1 and n >= k\\+2"):
+    for n, k, message in (
+        (4, 0, "degree must be at least 1, got 0"),
+        (5, -1, "degree must be at least 1, got -1"),
+        (3, 2, "need at least k+2 = 4 elements, got n = 3"),
+        (5, 4, "need at least k+2 = 6 elements, got n = 5"),
+    ):
+        with pytest.raises(pm.InputError) as info:
             Catalog(n, k, ())
-    with pytest.raises(pm.InputError, match="k >= 1"):
+        assert str(info.value) == message
+    with pytest.raises(pm.InputError, match="^need at least k\\+2 = 4 elements, got n = 3$"):
         parse_catalog(rehash(3, 2, []))
 
 

@@ -212,6 +212,23 @@ def test_realize_single_range_bytes_are_pinned(tmp_path, range_, output, digest)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_realize_sweeps_only_ranges_that_hold_n_points(tmp_path):
+    # [-8, 8] holds 17 distinct x-values: at n = 18 the default sweep
+    # starts at 32, and an explicit --range 8 is still refused
+    cat_path = str(tmp_path / "18_15.cat")
+    invoke(["enumerate", "--n", "18", "--k", "15", "--out", cat_path])
+    out = tmp_path / "tagged.cat"
+    result = invoke(["realize", "--catalog", cat_path, "--trials", "10", "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == "realizable=9 unknown=9 trials=10 seed=0 total=18\n"
+    tagged = pm.read_catalog(out)
+    assert tagged.realizable_count() == 9
+    assert pm.verify_catalog_witnesses(tagged) == ()
+    refused = invoke(["realize", "--catalog", cat_path, "--trials", "10", "--range", "8"])
+    assert (refused.exit_code, refused.stdout) == (2, "")
+    assert refused.stderr == "error: range [-8, 8] cannot hold 18 distinct x-values\n"
+
+
 def test_realize_on_crlf_catalog_exits_two(tmp_path):
     cat_path = tmp_path / "c.cat"
     invoke(["enumerate", "--n", "5", "--k", "2", "--out", str(cat_path)])
@@ -353,6 +370,15 @@ def test_render_figure_below_one_pixel_exits_two(tmp_path, flag, value):
     assert (result.exit_code, result.stdout) == (2, "")
     size = "0x480" if flag == "--width" else "640x-1"
     assert result.stderr == f"error: need a width and height of at least 1, got {size}\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_render_degree_below_one_exits_two(tmp_path, k):
+    pts = write(tmp_path / "pts.txt", CUBIC)
+    for extra in ([], ["--annotate"]):
+        result = invoke(["render", pts, "--k", k, *extra])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: degree must be at least 1, got {k}\n"
 
 
 def test_catalog_tamper_detected_on_read(tmp_path):

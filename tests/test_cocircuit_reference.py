@@ -21,7 +21,7 @@ import polyom.axioms as axioms
 from polyom.axioms import ScanReport, _acyclic_extreme
 from polyom.combinat import all_tuples, sort_with_sign, tuple_index
 from test_acceptance import REQUIRED_COUNTS
-from test_c3_reference import benchmark_grid_maps
+from test_c3_reference import benchmark_grid_maps, catalog_maps
 from test_properties import PROPS, sign_matrices
 
 
@@ -109,10 +109,6 @@ def wide_grid_maps(seed, n, k, count):
         if not chi.is_uniform() and chi.signs.any():
             out.append(chi)
     return out
-
-
-def catalog_maps(n, k, stride=1):
-    return list(pm.enumerate_chirotopes(n, k).chirotopes())[::stride]
 
 
 def grid_maps(seed, n, k, count):
@@ -383,7 +379,7 @@ def assert_unique_form(chi):
 
 @pytest.mark.parametrize("n, k", sorted(REQUIRED_COUNTS))
 def test_cocircuit_vectors_match_unique_form_on_catalogs(n, k):
-    for chi in pm.enumerate_chirotopes(n, k).chirotopes():
+    for chi in catalog_maps(n, k):
         assert_unique_form(chi)
 
 

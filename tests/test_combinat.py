@@ -1,12 +1,15 @@
 import itertools
 import random
+import types
 from math import comb
 
 import numpy as np
 import pytest
 
+import polyom as pm
 from polyom.combinat import (
     all_tuples,
+    check_case,
     exchange_table,
     lex_rank,
     lex_unrank,
@@ -14,8 +17,49 @@ from polyom.combinat import (
     tuple_index,
     window_index,
 )
+from polyom.enumeration import partition_search
 from polyom.errors import InputError
 from reference_search import var_windows
+
+# Every entry point that takes n and k, called on n elements or points;
+# each must refuse a case outside k >= 1, n >= k+2.  No Catalog exists
+# outside it, so realize_random gets a stand-in with only n and k.
+_ENTRY_POINTS = {
+    "check_case": check_case,
+    "Chirotope": lambda n, k: pm.Chirotope(n, k, []),
+    "Catalog": lambda n, k: pm.Catalog(n, k, ()),
+    "chirotope_of": lambda n, k: pm.chirotope_of(_points(n), k),
+    "chi_point": lambda n, k: pm.chi_point(_points(n), k, range(1, k + 3)),
+    "lagrange_sign": lambda n, k: pm.lagrange_sign(_points(n), k, range(1, k + 2), n),
+    "random_config": lambda n, k: pm.random_config(n, k, seed=0),
+    "realize_random": lambda n, k: pm.realize_random(types.SimpleNamespace(n=n, k=k), 1, 0),
+    "enumerate_chirotopes": pm.enumerate_chirotopes,
+    "partition_search": lambda n, k: partition_search(n, k, 0, 1),
+    "enumerate_sharded": lambda n, k: pm.enumerate_sharded(n, k, 2),
+    "render_svg": lambda n, k: pm.render_svg(_points(n), k),
+}
+
+_OUTSIDE = {
+    (4, 0): "degree must be at least 1, got 0",
+    (5, -1): "degree must be at least 1, got -1",
+    (3, 2): "need at least k+2 = 4 elements, got n = 3",
+}
+
+
+def _points(n):
+    return pm.PointConfig([(i, i * i * i) for i in range(n)])
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("n, k", sorted(_OUTSIDE))
+def test_every_entry_point_refuses_a_case_outside_the_domain(name, n, k):
+    if name == "render_svg" and k >= 1:
+        # a curve needs only k+1 points: render checks the degree alone
+        assert pm.render_svg(_points(n), k).count("<path ") == n - k
+        return
+    with pytest.raises(InputError) as info:
+        _ENTRY_POINTS[name](n, k)
+    assert str(info.value) == _OUTSIDE[n, k]
 
 
 def test_lex_rank_examples():

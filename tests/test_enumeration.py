@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import polyom as pm
+from polyom.chirotope import char_signs
 from polyom.enumeration import partition_search
 from reference_search import brute_force_strings, propagate_window
 
@@ -70,8 +71,8 @@ def test_output_sorted_first_record_all_plus():
 
 
 def test_result_rows_are_valid_chirotopes():
-    res = pm.enumerate_chirotopes(5, 2)
-    for chi in res.chirotopes():
+    for row in char_signs(pm.enumerate_chirotopes(5, 2).chars):
+        chi = pm.Chirotope(5, 2, row)
         assert chi.is_uniform()
         assert pm.check_degree_k(chi).passed
 
@@ -226,7 +227,7 @@ def test_enumerate_sharded_rejects_no_shards_before_joining(monkeypatch):
     for of_shards in (0, -1):
         with pytest.raises(pm.InputError, match=f"^of_shards must be positive, got {of_shards}$"):
             pm.enumerate_sharded(6, 2, of_shards)
-    with pytest.raises(pm.InputError, match=r"^need n >= k\+2, got n=4 k=3$"):
+    with pytest.raises(pm.InputError, match=r"^need at least k\+2 = 5 elements, got n = 4$"):
         pm.enumerate_sharded(4, 3, 2)
     assert builds == []
 

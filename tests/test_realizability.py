@@ -256,3 +256,5 @@ def test_negative_trials_and_bad_ranges_rejected():
         pm.realize_random(cat, trials=1, seed=0, ranges=(-3,))
     with pytest.raises(pm.InputError, match="too large"):
         pm.realize_random(cat, trials=1, seed=0, ranges=(10**30,))
+    with pytest.raises(pm.InputError, match="^no coordinate range to draw 5 points from$"):
+        pm.realize_random(cat, trials=5, seed=0, ranges=())
