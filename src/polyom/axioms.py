@@ -11,7 +11,7 @@ in one arithmetic: products of 0/1 matrices, whose counts float holds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -49,15 +49,7 @@ class AxiomReport:
         return " ".join(parts)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "axiom": self.axiom,
-                "witness": self.witness,
-                "note": self.note,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 _PASS = AxiomReport(True)
@@ -112,6 +104,17 @@ def check_B3(chi):
     return AxiomReport(False, "B3", (lam, mu, terms), "exchange terms all of one sign")
 
 
+def _first_bad_window(chi, S, bad, axiom, note):
+    """PASS when no (k+3)-window is marked bad, else the failure of the
+    first: the window and its deletion signs, the rows of S."""
+    if not bad.any():
+        return _PASS
+    w = int(np.argmax(bad))
+    return AxiomReport(
+        False, axiom, (lex_unrank(w, chi.n, chi.k + 3), tuple(int(v) for v in S[w])), note
+    )
+
+
 def check_unimodal(chi):
     """Deletion signs of every (k+3)-window change at most once.
 
@@ -122,21 +125,11 @@ def check_unimodal(chi):
     one sign change.
     """
     S = window_signs(chi)
-    if S.shape[0] == 0:
-        return _PASS
     steps = np.diff(S, axis=1)
     zeros = (S == 0).sum(1)
     monotone = (steps <= 0).all(1) | (steps >= 0).all(1)
     ok = (zeros == S.shape[1]) | ((zeros <= 1) & monotone)
-    if ok.all():
-        return _PASS
-    w = int(np.argmax(~ok))
-    return AxiomReport(
-        False,
-        "unimodal",
-        (lex_unrank(w, chi.n, chi.k + 3), tuple(int(v) for v in S[w])),
-        "window sign sequence changes more than once",
-    )
+    return _first_bad_window(chi, S, ~ok, "unimodal", "window sign sequence changes more than once")
 
 
 def check_transitivity(chi):
@@ -147,17 +140,9 @@ def check_transitivity(chi):
     agree, every subtuple of the window must carry that sign.
     """
     S = window_signs(chi)
-    if S.shape[0] == 0:
-        return _PASS
     bad = (S[:, 0] == S[:, -1]) & ~(S == S[:, :1]).all(1)
-    if not bad.any():
-        return _PASS
-    w = int(np.argmax(bad))
-    return AxiomReport(
-        False,
-        "transitivity",
-        (lex_unrank(w, chi.n, chi.k + 3), tuple(int(v) for v in S[w])),
-        "outer deletions agree but the window is not constant",
+    return _first_bad_window(
+        chi, S, bad, "transitivity", "outer deletions agree but the window is not constant"
     )
 
 
@@ -379,19 +364,9 @@ class ScanReport:
     best_count: int = -1
 
     def to_json(self):
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "total": self.total,
-                "acyclic": self.acyclic,
-                "histogram": {str(c): v for c, v in sorted(self.histogram.items())},
-                "found": self.found,
-                "best_set": list(self.best_set),
-                "best_count": self.best_count,
-            },
-            sort_keys=True,
-        )
+        fields = asdict(self)
+        fields["histogram"] = {str(c): v for c, v in self.histogram.items()}
+        return json.dumps(fields, sort_keys=True)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,8 @@ a regular file is then cut to the new length: its blocks are not freed
 and allocated again, which on some file systems waits on the disk.  A
 write torn part way leaves the new header over old or missing lines,
 which the count and the digest catch on read.  A file that is not ASCII
-is refused, naming its first other byte.
+is refused, naming its first other byte.  read_catalog starts every
+error of a read with the file's path.
 
 A catalog holds its records as one read-only character matrix, one row
 per record; record strings are made only for tagged lines, error
@@ -269,13 +270,17 @@ def parse_catalog(data):
 
 
 def read_catalog(path):
+    """The catalog in the file at path.  Every InputError of the read
+    starts with the path, and keeps its class."""
     # the file's bytes as they are on disk, so the digest checks them:
     # a CRLF copy of a catalog fails it
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.isascii():
-        try:
+    try:
+        if not data.isascii():
             data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not an ASCII catalog ({exc})") from exc
-    return parse_catalog(data)
+        return parse_catalog(data)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not an ASCII catalog ({exc})") from exc
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

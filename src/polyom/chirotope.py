@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .combinat import check_case, comb_upto, lex_rank, sort_with_sign, tuple_index, window_index
+from .combinat import check_case, check_tuple, comb_upto, lex_rank, tuple_index, window_index
 from .errors import InputError
 
 # int8 signs 0, +1, -1 as bytes, their characters; others decode to 2
@@ -61,14 +61,9 @@ class Chirotope:
         return f"Chirotope(n={self.n}, k={self.k}, {self.sign_string()!r})"
 
     def value(self, t):
-        """chi on an arbitrary (k+2)-tuple, via alternation."""
-        t = tuple(t)
-        if len(t) != self.r:
-            raise InputError(f"expected a {self.r}-tuple, got {t}")
-        for v in t:
-            if not 1 <= v <= self.n:
-                raise InputError(f"index {v} outside [1, {self.n}]")
-        parity, srt = sort_with_sign(t)
+        """chi on an arbitrary (k+2)-tuple of elements of [n], via
+        alternation; InputError unless check_tuple reads it."""
+        parity, srt = check_tuple(t, self.n, self.r)
         if parity == 0:
             return 0
         return parity * int(self.signs[lex_rank(srt, self.n)])
@@ -93,11 +88,10 @@ class Chirotope:
     def reorient(self, subset):
         """Reorientation by A: each tuple sign flips by the parity of
         |complement(tuple) intersect A|."""
+        subset = list(subset)
+        _, elems = check_tuple(subset, self.n, len(subset))
         inside = np.zeros(self.n + 1, bool)  # membership over 0..n, index 0 unused
-        for e in set(subset):
-            if not 1 <= e <= self.n:
-                raise InputError(f"reorientation element {e} outside [1, {self.n}]")
-            inside[e] = True
+        inside[list(elems)] = True
         outside = int(inside.sum()) - inside[tuple_index(self.n, self.k).tuples].sum(1)
         return Chirotope(self.n, self.k, np.where(outside & 1, -self.signs, self.signs))
 

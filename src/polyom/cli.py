@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 a check or soundness failure, 2 malformed
-input (also what click uses for bad flags), a catalog witness that does
+input (also what click uses for bad flags, and `enumerate --shard`
+with `--jobs` above 1), a catalog witness that does
 not realize its record, an --out file that cannot be written, a worker
 process of `enumerate --jobs` that died or an input too large for
 memory.  Every refusal is one `error:` line on stderr, never a
@@ -119,6 +120,8 @@ def check(chirotope_file, as_json):
 @_guarded
 def enumerate_cmd(n, k, out, shards, shard, jobs):
     """Enumerate all degree-k chirotopes on [n] up to global sign."""
+    if shard is not None and jobs > 1:
+        raise InputError("--jobs cannot be combined with --shard, which runs one shard in this process")
     if shard is not None:
         result = partition_search(n, k, shard, shards)
     elif shards > 1 or jobs > 1:

@@ -8,11 +8,15 @@ enumeration engine consume them.
 
 Every entry point that takes n and k checks them with check_case: a
 degree k >= 1 and n >= k+2 elements, so that a (k+2)-tuple exists.
+Every call that takes elements or a tuple of them reads it with
+check_tuple: r integers in [1, n], as operator.index reads them (numpy
+integers and Python bools pass), with one wording for each fault.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -32,6 +36,24 @@ def check_case(n, k):
     _check_degree(k)
     if n < k + 2:
         raise InputError(f"need at least k+2 = {k + 2} elements, got n = {n}")
+
+
+def check_tuple(t, n, r):
+    """t as r integers in [1, n], returned as sort_with_sign returns it:
+    (parity, sorted tuple).  InputError names the first non-integer, a
+    wrong length or the first element out of range."""
+    elems = []
+    for e in t:
+        try:
+            elems.append(operator.index(e))
+        except TypeError:
+            raise InputError(f"element {e!r} is not an integer") from None
+    if len(elems) != r:
+        raise InputError(f"expected a {r}-tuple, got {tuple(elems)}")
+    for e in elems:
+        if not 1 <= e <= n:
+            raise InputError(f"element {e} outside [1, {n}]")
+    return sort_with_sign(elems)
 
 
 def sort_with_sign(t):

@@ -44,7 +44,7 @@ from math import ceil, comb, lcm, log
 import numpy as np
 
 from .chirotope import Chirotope
-from .combinat import check_case, sort_with_sign, tuple_index
+from .combinat import check_case, check_tuple, tuple_index
 from .errors import DegenerateConfigError, InputError
 
 DEFAULT_RANGE = 10**6
@@ -121,8 +121,7 @@ class PointConfig:
 
     def coords(self, e):
         """Coordinates of element e (1-based)."""
-        if not 1 <= e <= len(self):
-            raise InputError(f"element {e} outside [1, {len(self)}]")
+        _, (e,) = check_tuple((e,), len(self), 1)
         return self.points[e - 1]
 
 
@@ -296,17 +295,12 @@ def chi_point(config, k, t):
 
     The determinant sign of the lifted rows in tuple order, 0 on
     repeats: the sorting parity times the sign of the sorted tuple, which
-    one tuple_signs call takes on those k+2 points of the store.
+    one tuple_signs call takes on those k+2 points of the store.  t is
+    read by check_tuple: k+2 integers in [1, n], else InputError.
     """
-    t = tuple(t)
     n = len(config)
     check_case(n, k)
-    for e in t:
-        if not 1 <= e <= n:
-            raise InputError(f"element {e} outside [1, {n}]")
-    if len(t) != k + 2:
-        raise InputError(f"expected a {k + 2}-tuple, got {t}")
-    parity, srt = sort_with_sign(t)
+    parity, srt = check_tuple(t, n, k + 2)
     if parity == 0:
         return 0
     xs, ys = ([v[e - 1] for e in srt] for v in (config.xs, config.ys))
@@ -347,7 +341,9 @@ def newton_eval(coeffs, xs, x):
 def lagrange_sign(config, k, base, e):
     """Sign of y_e minus the degree-k interpolant through the base points.
 
-    The base is k+1 distinct elements; the interpolant is evaluated by
+    The base is k+1 distinct elements and e one element, each an integer
+    in [1, n] as check_tuple reads it, else InputError; the interpolant
+    does not depend on the order of the base, and is evaluated by
     Newton divided differences over exact rationals.  Independent of the
     determinant route on purpose: the two must agree up to the parity
     that sorts (base..., e), which they do when the base is sorted and
@@ -355,14 +351,10 @@ def lagrange_sign(config, k, base, e):
     """
     n = len(config)
     check_case(n, k)
-    base = tuple(base)
-    if len(base) != k + 1:
-        raise InputError(f"base must have k+1 = {k + 1} elements, got {base}")
-    if len(set(base)) != len(base):
+    parity, base = check_tuple(base, n, k + 1)
+    if parity == 0:
         raise InputError(f"base has repeated elements: {base}")
-    for v in base + (e,):
-        if not 1 <= v <= n:
-            raise InputError(f"element {v} outside [1, {n}]")
+    _, (e,) = check_tuple((e,), n, 1)
     xs = [config.points[b - 1][0] for b in base]
     ys = [config.points[b - 1][1] for b in base]
     xe, ye = config.points[e - 1]

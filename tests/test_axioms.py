@@ -273,6 +273,10 @@ def test_report_serialization():
     assert data["passed"] is False
     assert data["axiom"] == "unimodal"
     assert data["witness"][0] == [1, 2, 3, 4, 5]
+    assert rep.to_json() == (
+        '{"axiom": "unimodal", "note": "window sign sequence changes more than once", '
+        '"passed": false, "witness": [[1, 2, 3, 4, 5], [1, -1, 1, 1, 1]]}'
+    )
     # the text form prints the witness as the JSON form does
     assert rep.text() == (
         "FAIL unimodal witness=[[1, 2, 3, 4, 5], [1, -1, 1, 1, 1]] "
@@ -522,6 +526,12 @@ def test_scan_deterministic_and_serializable():
     data = json.loads(a.to_json())
     assert data["total"] == 64
     assert sum(a.histogram.values()) == a.acyclic
+    # histogram keys are written as strings, and sorted as strings
+    rep = pm.ScanReport(n=5, k=2, total=32, acyclic=8, histogram={10: 1, 2: 3, 3: 4}, best_set=(1, 2), best_count=3)
+    assert rep.to_json() == (
+        '{"acyclic": 8, "best_count": 3, "best_set": [1, 2], "found": false, '
+        '"histogram": {"10": 1, "2": 3, "3": 4}, "k": 2, "n": 5, "total": 32}'
+    )
 
 
 def test_scan_point_config_finds_target_count():

@@ -236,7 +236,7 @@ def test_realize_on_crlf_catalog_exits_two(tmp_path):
     result = invoke(["realize", "--catalog", str(cat_path), "--trials", "5"])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == "error: catalog checksum mismatch\n"
+    assert result.stderr == f"error: {cat_path}: catalog checksum mismatch\n"
 
 
 @pytest.mark.parametrize("where, reason", [
@@ -436,6 +436,32 @@ def test_enumerate_jobs_zero_rejected():
     assert result.stdout == ""
 
 
+def test_enumerate_shard_refuses_jobs(tmp_path):
+    out = tmp_path / "one.cat"
+    args = ["enumerate", "--n", "6", "--k", "2", "--shards", "4", "--shard", "0", "--out", str(out)]
+    result = invoke(args + ["--jobs", "2"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: --jobs cannot be combined with --shard, which runs one shard in this process\n"
+    assert not out.exists()
+    assert invoke(args + ["--jobs", "1"]).stdout == invoke(args).stdout == "unimodal=22 degree_k=22\n"
+
+
+@pytest.mark.parametrize("args", [["scan"], ["realize", "--trials", "1"]])
+def test_catalog_errors_name_the_file(tmp_path, args):
+    # a header outside the (n, k) domain, with the digest of its body
+    small = write(tmp_path / "small.cat", f"n=3 k=2 count=0 sha256={hashlib.sha256(b'').hexdigest()}\n")
+    result = invoke(args + ["--catalog", small])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: {small}: need at least k+2 = 4 elements, got n = 3\n"
+    # a valid catalog under the digest of an empty body
+    head, body = rehash(5, 2, pm.enumerate_chirotopes(5, 2).strings()).split(b"\n", 1)
+    digest = tmp_path / "digest.cat"
+    digest.write_bytes(head[:-64] + hashlib.sha256(b"").hexdigest().encode() + b"\n" + body)
+    result = invoke(args + ["--catalog", str(digest)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: {digest}: catalog checksum mismatch\n"
+
+
 def test_enumerate_negative_shards_rejected():
     result = invoke(["enumerate", "--n", "6", "--k", "2", "--shards", "-2", "--jobs", "2"])
     assert result.exit_code == 2
@@ -537,7 +563,7 @@ def test_catalog_header_wider_than_any_array_exits_two(tmp_path):
     for args in (["scan"], ["realize", "--trials", "1"]):
         result = invoke(args + ["--catalog", cat_path])
         assert result.exit_code == 2, args
-        assert result.stderr == "error: bad record for n=1000000 k=5: '+'\n"
+        assert result.stderr == f"error: {cat_path}: bad record for n=1000000 k=5: '+'\n"
 
 
 @pytest.mark.parametrize(

@@ -358,7 +358,7 @@ def test_reorient_matches_reference():
     chi = maps[0]
     assert chi.reorient([3, 3, 1]) == reference_reorient(chi, [1, 3])
     for bad in ([0], [chi.n + 1]):
-        with pytest.raises(pm.InputError, match=f"^reorientation element {bad[0]} outside"):
+        with pytest.raises(pm.InputError, match=rf"^element {bad[0]} outside \[1, {chi.n}\]$"):
             chi.reorient(bad)
 
 

@@ -10,6 +10,7 @@ import polyom as pm
 from polyom.combinat import (
     all_tuples,
     check_case,
+    check_tuple,
     exchange_table,
     lex_rank,
     lex_unrank,
@@ -60,6 +61,56 @@ def test_every_entry_point_refuses_a_case_outside_the_domain(name, n, k):
     with pytest.raises(InputError) as info:
         _ENTRY_POINTS[name](n, k)
     assert str(info.value) == _OUTSIDE[n, k]
+
+
+# Every call that takes elements of [n] or a tuple of them, on 5 points
+# at k = 2; each reads its argument with check_tuple.  name -> (r, the
+# call on r elements, whether it takes a tuple of fixed length).
+_CFG = _points(5)
+_CHI = pm.chirotope_of(_CFG, 2)
+_TUPLE_CALLS = {
+    "Chirotope.value": (4, _CHI.value, True),
+    "chi_point": (4, lambda t: pm.chi_point(_CFG, 2, t), True),
+    "lagrange_sign base": (3, lambda t: pm.lagrange_sign(_CFG, 2, t, 4), True),
+    "lagrange_sign e": (1, lambda t: pm.lagrange_sign(_CFG, 2, (2, 3, 4), *t), False),
+    "PointConfig.coords": (1, lambda t: _CFG.coords(*t), False),
+    "Chirotope.reorient": (2, _CHI.reorient, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TUPLE_CALLS))
+def test_every_tuple_call_reads_its_elements_alike(name):
+    r, call, fixed_length = _TUPLE_CALLS[name]
+    good = tuple(range(1, r + 1))
+    faults = [
+        (good[:-1] + (0,), "element 0 outside [1, 5]"),
+        (good[:-1] + (6,), "element 6 outside [1, 5]"),
+        (good[:-1] + (1.5,), "element 1.5 is not an integer"),
+        (good[:-1] + ("a",), "element 'a' is not an integer"),
+    ]
+    if fixed_length:
+        faults.append((good + (5,), f"expected a {r}-tuple, got {good + (5,)}"))
+    for t, message in faults:
+        with pytest.raises(InputError) as info:
+            call(t)
+        assert str(info.value) == message, t
+    # numpy integers and bools are integers
+    for t in [(True, np.int64(2), np.int8(3), np.uint16(4)), (np.int64(1), np.int32(2), 3, 4)]:
+        assert call(t[:r]) == call(good), t
+
+
+def test_check_tuple_order_of_faults():
+    # the first non-integer, then the length, then the first element out of range
+    for t, message in [
+        ((9, 1.5, "a"), "element 1.5 is not an integer"),
+        ((9, 0), "expected a 3-tuple, got (9, 0)"),
+        ((2, 9, 0), "element 9 outside [1, 5]"),
+    ]:
+        with pytest.raises(InputError) as info:
+            check_tuple(t, 5, 3)
+        assert str(info.value) == message
+    assert check_tuple((3, np.int64(1), True), 5, 3) == (0, (1, 1, 3))
+    assert check_tuple(iter([3, 1, 2]), 5, 3) == (1, (1, 2, 3))
 
 
 def test_lex_rank_examples():
