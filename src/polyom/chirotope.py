@@ -88,8 +88,7 @@ class Chirotope:
     def reorient(self, subset):
         """Reorientation by A: each tuple sign flips by the parity of
         |complement(tuple) intersect A|."""
-        subset = list(subset)
-        _, elems = check_tuple(subset, self.n, len(subset))
+        _, elems = check_tuple(subset, self.n)
         inside = np.zeros(self.n + 1, bool)  # membership over 0..n, index 0 unused
         inside[list(elems)] = True
         outside = int(inside.sum()) - inside[tuple_index(self.n, self.k).tuples].sum(1)
@@ -156,6 +155,12 @@ def signs_from_string(s):
 def leading_signs(signs):
     """The first nonzero entry of each row of a sign matrix, 0 for a zero row."""
     return signs[np.arange(len(signs)), (signs != 0).argmax(1)]
+
+
+def canonical_chars(signs):
+    """Record characters of each row of a sign matrix, negated where its
+    first nonzero sign is -1: the record of {row, -row}."""
+    return sign_chars(signs * leading_signs(signs)[:, None])
 
 
 def record_chars(records, width):

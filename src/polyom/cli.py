@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 a check or soundness failure, 2 malformed
 input (also what click uses for bad flags, and `enumerate --shard`
-with `--jobs` above 1), a catalog witness that does
-not realize its record, an --out file that cannot be written, a worker
-process of `enumerate --jobs` that died or an input too large for
+with `--jobs` above 1), a catalog witness that does not realize its
+record, an --out file that cannot be written or an input too large for
 memory.  Every refusal is one `error:` line on stderr, never a
 traceback.  Summary lines are machine-parseable, one key=value pair per
 token.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import click
 
@@ -33,7 +31,7 @@ def _guarded(fn):
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InputError, UnicodeDecodeError, BrokenProcessPool) as exc:
+        except (InputError, UnicodeDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except MemoryError as exc:

@@ -9,8 +9,9 @@ enumeration engine consume them.
 Every entry point that takes n and k checks them with check_case: a
 degree k >= 1 and n >= k+2 elements, so that a (k+2)-tuple exists.
 Every call that takes elements or a tuple of them reads it with
-check_tuple: r integers in [1, n], as operator.index reads them (numpy
-integers and Python bools pass), with one wording for each fault.
+check_tuple: an iterable of r integers in [1, n], as operator.index
+reads them (numpy integers and Python bools pass), with one wording for
+each fault.
 """
 
 from __future__ import annotations
@@ -38,17 +39,22 @@ def check_case(n, k):
         raise InputError(f"need at least k+2 = {k + 2} elements, got n = {n}")
 
 
-def check_tuple(t, n, r):
-    """t as r integers in [1, n], returned as sort_with_sign returns it:
-    (parity, sorted tuple).  InputError names the first non-integer, a
+def check_tuple(t, n, r=None):
+    """t as r integers in [1, n] (any number of them when r is None),
+    returned as sort_with_sign returns it: (parity, sorted tuple).
+    InputError names a t that is not iterable, the first non-integer, a
     wrong length or the first element out of range."""
+    try:
+        t = iter(t)
+    except TypeError:
+        raise InputError(f"expected a tuple of elements, got {t!r}") from None
     elems = []
     for e in t:
         try:
             elems.append(operator.index(e))
         except TypeError:
             raise InputError(f"element {e!r} is not an integer") from None
-    if len(elems) != r:
+    if r is not None and len(elems) != r:
         raise InputError(f"expected a {r}-tuple, got {tuple(elems)}")
     for e in elems:
         if not 1 <= e <= n:

@@ -45,7 +45,8 @@ the rows hold no 0, so their packed '-' bits, read as big-endian words,
 sort as their characters do.  A shard is the slice of the top keys
 whose index is its own modulo the shard count; enumerate_sharded builds
 the lower levels and the top set-up once, runs every shard's step on
-it, in process or on a pool, and sorts the rows of all shards once.
+it, in turn or on threads that share it, and sorts the rows of all
+shards once.
 That is the one way to combine shards.  partition_search gives one
 shard alone, sorted; the shards are disjoint and their union is the
 full catalog.
@@ -53,7 +54,7 @@ full catalog.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -232,37 +233,21 @@ def partition_search(n, k, shard, of_shards):
     return _sorted_result(n, k, _top_join(n, k).rows(shard, of_shards))
 
 
-# the join a pool worker takes its shards from, set by the pool's initializer
-_pool_join = None
-
-
-def _hold_join(join):
-    global _pool_join
-    _pool_join = join
-
-
-def _pool_rows(shard, of_shards):
-    return _pool_join.rows(shard, of_shards)
-
-
 def enumerate_sharded(n, k, of_shards, jobs=1):
-    """Every shard of one join, on a process pool when jobs > 1, sorted
-    once.
+    """Every shard of one join, on min(jobs, of_shards) threads of this
+    process when jobs > 1, sorted once.
 
     The lower levels and the top set-up are built once, here; a shard
-    only matches its keys and gathers its rows.  Pool workers receive
-    the set-up through the pool's initializer (inherited under fork,
-    pickled once per worker otherwise) and return their rows unsorted.
+    only matches its keys and gathers its rows.  The threads share the
+    set-up, which rows() only reads, and the shard step runs in numpy
+    calls that release the GIL.  An exception in a shard is raised here.
     """
     _check_shards(of_shards)
     check_case(n, k)
     join = _top_join(n, k)
     if jobs > 1:
-        # the fork start method starts every worker at once: none idle
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, of_shards), initializer=_hold_join, initargs=(join,)
-        ) as pool:
-            parts = list(pool.map(partial(_pool_rows, of_shards=of_shards), range(of_shards)))
+        with ThreadPoolExecutor(max_workers=min(jobs, of_shards)) as pool:
+            parts = list(pool.map(partial(join.rows, of_shards=of_shards), range(of_shards)))
     else:
         parts = [join.rows(s, of_shards) for s in range(of_shards)]
     rows = np.concatenate(parts)

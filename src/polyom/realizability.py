@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chirotope import leading_signs, sign_chars
+from .chirotope import canonical_chars
 from .errors import InputError, SoundnessError
 from .points import PointConfig, check_draw, draw_uniform, tuple_signs
 
@@ -98,7 +98,7 @@ def realize_random(catalog, trials, seed, ranges=None, max_tries=200):
         X, Y, signs, uniform = draw_uniform(
             rngs, [used[t % len(ranges)] for t in block], n, k, max_tries
         )
-        rows = sign_chars(signs * leading_signs(signs)[:, None])
+        rows = canonical_chars(signs)
         for i, (t, ok, pos) in enumerate(zip(block, uniform.tolist(), catalog.positions(rows).tolist())):
             if not ok:
                 degenerate += 1
@@ -145,7 +145,7 @@ def verify_catalog_witnesses(catalog):
     for lo in range(0, len(fits), TRIAL_BLOCK):
         block = fits[lo : lo + TRIAL_BLOCK]
         signs = tuple_signs([wits[i].xs for i in block], [wits[i].ys for i in block], catalog.k)
-        rows = sign_chars(signs * leading_signs(signs)[:, None])
+        rows = canonical_chars(signs)
         wrong = (rows != catalog.chars[block]).any(1)
         bad += [block[j] for j in np.flatnonzero(wrong).tolist()]
     return tuple(sorted(bad))

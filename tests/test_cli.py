@@ -525,19 +525,24 @@ def test_enumerate_prefix_depth_is_unknown():
     assert "--prefix-depth" in result.stderr
 
 
-def _die(*args, **kwargs):
-    os._exit(3)
+def test_enumerate_memory_error_on_a_shard_thread_exits_two(monkeypatch):
+    import threading
 
-
-def test_enumerate_worker_crash_exits_two(monkeypatch):
     import polyom.enumeration as enumeration
 
-    # the pool's workers run the patched shard function and die at once
-    monkeypatch.setattr(enumeration, "_pool_rows", _die)
+    raised_on = []
+    real = enumeration._Join.rows
+
+    def rows(self, shard=0, of_shards=1):
+        if shard == 1:
+            raised_on.append(threading.current_thread())
+            raise MemoryError()
+        return real(self, shard, of_shards)
+
+    monkeypatch.setattr(enumeration._Join, "rows", rows)
     result = invoke(["enumerate", "--n", "6", "--k", "2", "--jobs", "2"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", "error: out of memory\n")
+    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
 
 
 @pytest.mark.parametrize(

@@ -65,22 +65,23 @@ def test_every_entry_point_refuses_a_case_outside_the_domain(name, n, k):
 
 # Every call that takes elements of [n] or a tuple of them, on 5 points
 # at k = 2; each reads its argument with check_tuple.  name -> (r, the
-# call on r elements, whether it takes a tuple of fixed length).
+# call on r elements, what it takes: a tuple of fixed length, a subset
+# of any size or one element).
 _CFG = _points(5)
 _CHI = pm.chirotope_of(_CFG, 2)
 _TUPLE_CALLS = {
-    "Chirotope.value": (4, _CHI.value, True),
-    "chi_point": (4, lambda t: pm.chi_point(_CFG, 2, t), True),
-    "lagrange_sign base": (3, lambda t: pm.lagrange_sign(_CFG, 2, t, 4), True),
-    "lagrange_sign e": (1, lambda t: pm.lagrange_sign(_CFG, 2, (2, 3, 4), *t), False),
-    "PointConfig.coords": (1, lambda t: _CFG.coords(*t), False),
-    "Chirotope.reorient": (2, _CHI.reorient, False),
+    "Chirotope.value": (4, _CHI.value, "tuple"),
+    "chi_point": (4, lambda t: pm.chi_point(_CFG, 2, t), "tuple"),
+    "lagrange_sign base": (3, lambda t: pm.lagrange_sign(_CFG, 2, t, 4), "tuple"),
+    "lagrange_sign e": (1, lambda t: pm.lagrange_sign(_CFG, 2, (2, 3, 4), *t), "element"),
+    "PointConfig.coords": (1, lambda t: _CFG.coords(*t), "element"),
+    "Chirotope.reorient": (2, _CHI.reorient, "subset"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TUPLE_CALLS))
 def test_every_tuple_call_reads_its_elements_alike(name):
-    r, call, fixed_length = _TUPLE_CALLS[name]
+    r, call, takes = _TUPLE_CALLS[name]
     good = tuple(range(1, r + 1))
     faults = [
         (good[:-1] + (0,), "element 0 outside [1, 5]"),
@@ -88,8 +89,11 @@ def test_every_tuple_call_reads_its_elements_alike(name):
         (good[:-1] + (1.5,), "element 1.5 is not an integer"),
         (good[:-1] + ("a",), "element 'a' is not an integer"),
     ]
-    if fixed_length:
+    if takes == "tuple":
         faults.append((good + (5,), f"expected a {r}-tuple, got {good + (5,)}"))
+    if takes != "element":
+        # an argument that is not iterable
+        faults += [(v, f"expected a tuple of elements, got {v!r}") for v in (3, 5, 7, None)]
     for t, message in faults:
         with pytest.raises(InputError) as info:
             call(t)

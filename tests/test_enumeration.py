@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -153,32 +155,28 @@ def test_enumerate_sharded_with_pool():
     res = pm.enumerate_sharded(6, 2, of_shards=4, jobs=2)
     assert res.strings() == full.strings()
     assert res.count == full.count
+    # more threads than cores, switching often: they only read the shared set-up
+    full = pm.enumerate_chirotopes(7, 2).chars.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert pm.enumerate_sharded(7, 2, of_shards=16, jobs=8).chars.tobytes() == full
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
     import polyom.enumeration as enumeration_module
 
     started = []
+    real = enumeration_module.ThreadPoolExecutor
 
-    class Recorder:
-        """Records max_workers and runs the initializer and the tasks here;
-        starts no process."""
+    def recorder(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
 
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(enumeration_module, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(enumeration_module, "_pool_join", None)
+    monkeypatch.setattr(enumeration_module, "ThreadPoolExecutor", recorder)
     full = pm.enumerate_chirotopes(6, 2)
     for of_shards, jobs, workers in ((2, 4, 2), (3, 3, 3), (5, 2, 2), (1, 8, 1)):
         res = pm.enumerate_sharded(6, 2, of_shards=of_shards, jobs=jobs)
@@ -186,6 +184,20 @@ def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
         assert started.pop() == workers, (of_shards, jobs)
     assert pm.enumerate_sharded(6, 2, of_shards=3, jobs=1).count == full.count
     assert started == []
+
+
+def test_enumerate_sharded_starts_no_process(monkeypatch):
+    import multiprocessing
+    import os
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    full = pm.enumerate_chirotopes(6, 2)
+    assert pm.enumerate_sharded(6, 2, 4, jobs=2).chars.tobytes() == full.chars.tobytes()
 
 
 def _count_join_builds(monkeypatch):

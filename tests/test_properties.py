@@ -19,6 +19,7 @@ from polyom.chirotope import (
     ascending,
     bit_chars,
     bit_order,
+    canonical_chars,
     char_signs,
     leading_signs,
     record_chars,
@@ -68,8 +69,11 @@ def test_canonical_sign_is_first_nonzero(signs):
     lead = leading_signs(signs)
     for row, s in zip(signs.tolist(), lead.tolist()):
         assert s == next((v for v in row if v), 0)
-    canon = signs * lead[:, None]
+    canon = char_signs(canonical_chars(signs))
     assert ((leading_signs(canon) == 1) | ~signs.any(1)).all()
+    assert records_of(canonical_chars(signs)) == [
+        python_record([s * v for v in row]) for row, s in zip(signs.tolist(), lead.tolist())
+    ]
 
 
 @PROPS
