@@ -91,13 +91,15 @@ class Catalog:
             if unordered is None and not up.all():
                 unordered = lo + int(up.argmin()) + 1
         if at < len(records) or unordered is not None:
-            shown = records_of(records) if matrix else records
+            # strings only of the one or two records the message names
+            i = unordered - 1 if at == len(records) else at
+            shown = records_of(records[i : i + 2]) if matrix else records[i : i + 2]
             if at == len(records):
-                prev, rec = shown[unordered - 1 : unordered + 1]
+                prev, rec = shown
                 raise InputError(f"records not strictly increasing: {rec!r} after {prev!r}")
             if at < len(chars) and (char_signs(chars[at]) <= 1).all():
-                raise InputError(f"record not canonical (first nonzero sign must be +): {shown[at]!r}")
-            raise InputError(f"bad record for n={n} k={k}: {shown[at]!r}")
+                raise InputError(f"record not canonical (first nonzero sign must be +): {shown[0]!r}")
+            raise InputError(f"bad record for n={n} k={k}: {shown[0]!r}")
         if witnesses is not None and len(witnesses) != len(chars):
             raise InputError("witness list does not match record count")
         chars.setflags(write=False)

@@ -54,6 +54,7 @@ full catalog.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -234,8 +235,8 @@ def partition_search(n, k, shard, of_shards):
 
 
 def enumerate_sharded(n, k, of_shards, jobs=1):
-    """Every shard of one join, on min(jobs, of_shards) threads of this
-    process when jobs > 1, sorted once.
+    """Every shard of one join, on min(jobs, of_shards, cores) threads
+    of this process when jobs > 1, sorted once.
 
     The lower levels and the top set-up are built once, here; a shard
     only matches its keys and gathers its rows.  The threads share the
@@ -246,7 +247,7 @@ def enumerate_sharded(n, k, of_shards, jobs=1):
     check_case(n, k)
     join = _top_join(n, k)
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, of_shards)) as pool:
+        with ThreadPoolExecutor(max_workers=min(jobs, of_shards, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(partial(join.rows, of_shards=of_shards), range(of_shards)))
     else:
         parts = [join.rows(s, of_shards) for s in range(of_shards)]

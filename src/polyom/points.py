@@ -17,13 +17,13 @@ taken only where a proven bound on the rounding error certifies it (a
 semi-static filter: Shewchuk, "Adaptive Precision Floating-Point
 Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997;
 Bronnimann, Burnikel and Pion, "Interval arithmetic yields efficient
-dynamic filters for computational geometry", DAM 109, 2001).  Every
-entry the bound leaves open (exact zeros, overflow to inf or NaN, and
+dynamic filters for computational geometry", DAM 109, 2001).  The
+entries the bound leaves open (exact zeros, overflow to inf or NaN, and
 coordinates beyond 2^52, whose differences float64 no longer holds
-exactly) is evaluated again in Python integers.  A PointConfig keeps
-its points as integers already: numerators over their positive common
-denominator L, which scales every determinant by L^(k(k+1)/2+1) > 0,
-so chirotope_of signs the store as it is.
+exactly) take the same sum again in Python ints, all in one batch.  A
+PointConfig keeps its points as integers already: numerators over
+their positive common denominator L, which scales every determinant by
+L^(k(k+1)/2+1) > 0, so chirotope_of signs the store as it is.
 
 `det_sign` (Bareiss elimination) remains the general exact determinant
 and `lagrange_sign` (Newton interpolation over the rationals) an
@@ -194,24 +194,35 @@ _FLOAT_EXACT = 2**52
 
 
 @lru_cache(maxsize=None)
-def _sign_tables(n, k):
-    """Index tables of the predicate for n points at degree k.
+def _cofactor_tables(k):
+    """Index tables of the cofactor sum of one (k+2)-tuple, r = k+2.
 
-    cols (C, r): the points of every sorted r-tuple, r = k+2, lex order.
     pa, pb (P,): the positions a < b of the P = C(r, 2) pairs of a tuple.
     leave (r, p): for term j, the p = C(k+1, 2) pairs that avoid j.
-    alt (r,): the cofactor signs (-1)^(j+k+1).
+    alt (r,): the cofactor signs (-1)^(j+k+1), ints, to keep int terms exact.
     """
     r = k + 2
-    cols = tuple_index(n, k).tuples - 1
     pairs = list(itertools.combinations(range(r), 2))
     pa = np.array([a for a, _ in pairs], np.intp)
     pb = np.array([b for _, b in pairs], np.intp)
     leave = np.array(
         [[q for q, pair in enumerate(pairs) if j not in pair] for j in range(r)], np.intp
     ).reshape(r, comb(k + 1, 2))
-    alt = np.array([(-1.0) ** (j + k + 1) for j in range(r)])
-    return cols, pa, pb, leave, alt
+    alt = np.array([(-1) ** (j + k + 1) for j in range(r)])
+    return pa, pb, leave, alt
+
+
+def _cofactor_terms(X, Y, k):
+    """The terms (-1)^(j+k+1) y_j V_j of tuples whose k+2 points, in
+    x-order, lie along the last axis of X and Y, in their dtype: the
+    determinant is their sum over that axis."""
+    pa, pb, leave, alt = _cofactor_tables(k)
+    diffs = X[..., pb]
+    diffs -= X[..., pa]
+    terms = Y * alt
+    for q in range(leave.shape[1]):
+        terms *= diffs[..., leave[:, q]]
+    return terms
 
 
 def _int_array(v):
@@ -223,19 +234,6 @@ def _int_array(v):
         return np.array(v, dtype=object)
 
 
-def _exact_sign(xs, ys, k):
-    """The sign of sum_j (-1)^(j+k+1) y_j V_j, over Python ints."""
-    total = 0
-    for j in range(k + 2):
-        others = xs[:j] + xs[j + 1 :]
-        term = ys[j]
-        for a, xa in enumerate(others):
-            for xb in others[a + 1 :]:
-                term *= xb - xa
-        total += term if (j + k + 1) % 2 == 0 else -term
-    return (total > 0) - (total < 0)
-
-
 def tuple_signs(xs, ys, k):
     """Degree-k signs of every sorted (k+2)-tuple of each configuration.
 
@@ -243,18 +241,16 @@ def tuple_signs(xs, ys, k):
     ints, one configuration per row with x strictly increasing.  Returns
     the int8 array (T, C(n, k+2)) of det(1, x, ..., x^k, y) signs, tuples
     in lex order.  Exact: a float decides a sign only where the error
-    bound certifies it, and every other entry is computed in integers.
+    bound certifies it; the others take the same sum in Python ints.
     """
     X, Y = _int_array(xs), _int_array(ys)
     T, n = X.shape
-    cols, pa, pb, leave, alt = _sign_tables(n, k)
+    cols = tuple_index(n, k).tuples - 1
     out = np.zeros((T, len(cols)), np.int8)
     certified = np.zeros(out.shape, bool)
     lim = _FLOAT_EXACT
     narrow = ((X >= -lim) & (X <= lim) & (Y >= -lim) & (Y <= lim)).all(1)
     if narrow.any():
-        Xt = X[narrow].astype(np.float64)[:, cols]
-        terms = Y[narrow].astype(np.float64)[:, cols] * alt
         # Error bound, with u = 2^-53 and gamma_m = m u / (1 - m u).  The
         # differences are exact, so each term y_j V_j takes p = C(k+1, 2)
         # rounded multiplications: t~_j = t_j (1 + th_j), |th_j| <= gamma_p,
@@ -271,9 +267,7 @@ def tuple_signs(xs, ys, k):
         # the strict test then fails.
         gamma = (comb(k + 1, 2) + k + 1) * 2.0**-52
         with np.errstate(over="ignore", invalid="ignore"):
-            diffs = Xt[:, :, pb] - Xt[:, :, pa]
-            for q in range(leave.shape[1]):
-                terms *= diffs[:, :, leave[:, q]]
+            terms = _cofactor_terms(*(V[narrow].astype(np.float64)[:, cols] for V in (X, Y)), k)
             s = terms[:, :, 0].copy()
             bound = np.abs(s)
             for j in range(1, k + 2):
@@ -282,11 +276,10 @@ def tuple_signs(xs, ys, k):
             ok = np.abs(s) > gamma * bound
         out[narrow] = np.where(ok, np.sign(s), 0)
         certified[narrow] = ok
-    for t, c in zip(*np.nonzero(~certified)):
-        idx = cols[c]
-        out[t, c] = _exact_sign(
-            [int(v) for v in X[t, idx]], [int(v) for v in Y[t, idx]], k
-        )
+    t, c = np.nonzero(~certified)
+    if len(t):
+        rows = (V[t[:, None], cols[c]].astype(object) for V in (X, Y))
+        out[t, c] = np.sign(_cofactor_terms(*rows, k).sum(1))
     return out
 
 

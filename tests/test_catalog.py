@@ -581,6 +581,32 @@ def test_character_matrix_checks_as_the_strings(monkeypatch):
     assert Catalog(6, 2, chars[:0, 1:]) == Catalog(6, 2, ())
 
 
+def test_a_bad_matrix_makes_strings_of_the_named_records_only(monkeypatch):
+    shown = []
+    real = catalog_module.records_of
+
+    def spy(chars):
+        shown.append(len(chars))
+        return real(chars)
+
+    monkeypatch.setattr(catalog_module, "records_of", spy)
+    records = pm.enumerate_chirotopes(6, 2).strings()
+    last = len(records) - 1
+    faults = [
+        lines
+        for at in (last - 1, last)
+        for name, lines in mutated_bodies(records, at)
+        if name in ("not canonical", "'*' inside", "duplicate", "swapped pair")
+    ]
+    assert len(faults) == 7
+    for lines in faults:
+        chars = np.frombuffer("".join(lines).encode("ascii"), np.uint8).reshape(len(lines), -1)
+        with pytest.raises(pm.InputError) as info:
+            Catalog(6, 2, chars)
+        assert str(info.value) == looped_fault(lines, 6, 2)
+    assert shown and max(shown) <= 2
+
+
 def test_empty_shard_round_trip(tmp_path):
     from polyom.enumeration import partition_search
 

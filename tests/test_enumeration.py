@@ -178,10 +178,17 @@ def test_enumerate_sharded_starts_no_idle_worker(monkeypatch):
 
     monkeypatch.setattr(enumeration_module, "ThreadPoolExecutor", recorder)
     full = pm.enumerate_chirotopes(6, 2)
-    for of_shards, jobs, workers in ((2, 4, 2), (3, 3, 3), (5, 2, 2), (1, 8, 1)):
-        res = pm.enumerate_sharded(6, 2, of_shards=of_shards, jobs=jobs)
-        assert res.chars.tobytes() == full.chars.tobytes()
-        assert started.pop() == workers, (of_shards, jobs)
+    # no more threads than shards, jobs or cores; os.cpu_count() may say None
+    for cores, table in (
+        (8, ((2, 4, 2), (3, 3, 3), (5, 2, 2), (1, 8, 1))),
+        (2, ((8, 4, 2), (3, 3, 2), (5, 2, 2), (1, 8, 1))),
+        (None, ((8, 4, 1),)),
+    ):
+        monkeypatch.setattr(enumeration_module.os, "cpu_count", lambda: cores)
+        for of_shards, jobs, workers in table:
+            res = pm.enumerate_sharded(6, 2, of_shards=of_shards, jobs=jobs)
+            assert res.chars.tobytes() == full.chars.tobytes()
+            assert started.pop() == workers, (cores, of_shards, jobs)
     assert pm.enumerate_sharded(6, 2, of_shards=3, jobs=1).count == full.count
     assert started == []
 

@@ -356,13 +356,14 @@ def bareiss_signs(xs, ys, k):
 def exact_calls(monkeypatch):
     """Counts the entries that tuple_signs evaluates in integers."""
     calls = []
-    real = points._exact_sign
+    real = points._cofactor_terms
 
-    def counting(xs, ys, k):
-        calls.append(k)
-        return real(xs, ys, k)
+    def counting(X, Y, k):
+        if X.dtype == object:
+            calls.extend([k] * len(X))
+        return real(X, Y, k)
 
-    monkeypatch.setattr(points, "_exact_sign", counting)
+    monkeypatch.setattr(points, "_cofactor_terms", counting)
     return calls
 
 
@@ -408,6 +409,36 @@ def test_tuple_signs_fall_back_on_float_overflow(exact_calls):
     for (xs, ys), row in zip(rows, got.tolist()):
         assert row == bareiss_signs(xs, ys, 8)
     assert len(exact_calls) == 40
+
+
+def test_tuple_signs_mixed_batch_matches_bareiss(exact_calls):
+    # one call whose open entries sit in different columns of different
+    # rows: small ranges with zeros, near-curve rows on both sides of
+    # 2^52, and rows beyond int64, which make the whole batch object
+    rng = random.Random(7)
+    n = 7
+    for k in (1, 2):
+        rows = []
+        for r in (3, 4, 8, 8, 8, 8):
+            xs = sorted(rng.sample(range(-r, r + 1), n))
+            rows.append((xs, [rng.randint(-2, 2) for _ in xs]))
+        for base in (2**52 - 60, 2**52 - 60, 2**60, 2**70):
+            xs = sorted(base + d for d in rng.sample(range(-50, 51), n))
+            coef = [rng.randint(-3, 3) for _ in range(k + 1)]
+            ys = [base + sum(c * (x - base) ** i for i, c in enumerate(coef)) + rng.choice((-1, 0, 1))
+                  for x in xs]
+            rows.append((xs, ys))
+        for _ in range(2):
+            xs = sorted(rng.randint(-(2**70), 2**70) for _ in range(n))
+            rows.append((xs, [rng.randint(-(2**70), 2**70) for _ in xs]))
+        del exact_calls[:]
+        got = points.tuple_signs([xs for xs, _ in rows], [ys for _, ys in rows], k).tolist()
+        want = [bareiss_signs(xs, ys, k) for xs, ys in rows]
+        assert got == want, k
+        # zeros in more than one column of the small rows, and entries the
+        # float step certified beside the ones it left open
+        assert len({c for row in want[:6] for c, v in enumerate(row) if v == 0}) > 1, k
+        assert len(want[0]) * 6 <= len(exact_calls) < len(want[0]) * len(rows), k
 
 
 def test_tuple_signs_batch_matches_bareiss():
