@@ -222,8 +222,10 @@ def _c3_general(M, pairs):
     I, J = pairs
     for b in _blocks(len(I), m, n):
         i, j = I[b], J[b]
-        allowed = clash_free(outside[i] & outside[j])
-        missing = (M[i] * M[j] == -1) & ((allowed.astype(np.float32) @ Z) == 0)
+        forbidden = outside[i] & outside[j]
+        allowed = clash_free(forbidden)
+        # X and Y separate where one is + and the other -: neither side is forbidden
+        missing = ~(forbidden[:, :n] | forbidden[:, n:]) & ((allowed.astype(np.float32) @ Z) == 0)
         failed = missing.any(1)
         if failed.any():
             t = int(np.argmax(failed))
@@ -294,17 +296,19 @@ def check_cocircuit_axioms(vectors, uniform=None):
     if unpaired.any():
         return AxiomReport(False, "C1", (int(np.argmax(unpaired)),), "negative not in the set")
     eq = same & (sep == 0)
-    bad = nested & ~(eq | neq)
+    bad = nested ^ (eq | neq)  # eq and neq lie inside nested
     if bad.any():
         i, j = np.argwhere(bad)[0]
         return AxiomReport(False, "C2", (int(i), int(j)), "nested supports, not a sign pair")
-    pairs = (sep > 0) & ~neq
     s = int(size[0])
     distinct = (eq.argmax(1) == np.arange(m)).sum()
     if (size == s).all() and distinct == 2 * comb(n, s):
-        pairs &= inter == s - 1
+        pairs = (inter == s - 1) & (sep > 0)  # no X, -X pair: those meet in s
+    else:
+        pairs = (sep > 0) ^ neq  # X, -X separate on their whole support
     I, J = np.divmod(np.flatnonzero(pairs), m)
     nu = neq.argmax(1)
+    del counts, agree, sep, inter, nested, same, neq, eq, bad, pairs  # C3 needs no m x m array
     a, b = nu[I], nu[J]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = (I < J) & ((I < lo) | ((I == lo) & (J <= hi)))

@@ -29,27 +29,32 @@ extensions of higher Bruhat orders in Ziegler 1993 and Felsner-Weil
 2001).
 
 The join.  enumerate_chirotopes builds the full (both-sign) signotope
-sets by recursion on (n-1, r) and (n-1, r-1), down to rank 1 (every
-map), rank n (both signs of the one tuple) and rank > n (the empty
-map), with a memo that lives for one call.  At each level the rows of
-Q are grouped by their key, the positions they force and the values
-there, and each group is paired with the rows of P that carry those
-values.  P and Q are first placed into their columns of the rows on
-[n], so an output row is one gather of a P row ORed with one gather of
-a Q row.  Each level is a set-up (the keys sorted and grouped, P
-packed, P and Q placed) and a step that matches a slice of the keys
-and gathers its rows; the lower levels take every key.  The top level
-pairs only the rows whose lex-first tuple (1, ..., k+2) is +, one of
-each {sigma, -sigma}, and sorts them as byte strings on a 1-bit key:
-the rows hold no 0, so their packed '-' bits, read as big-endian words,
-sort as their characters do.  A shard is the slice of the top keys
-whose index is its own modulo the shard count; enumerate_sharded builds
-the lower levels and the top set-up once, runs every shard's step on
-it, in turn or on threads that share it, and sorts the rows of all
-shards once.
-That is the one way to combine shards.  partition_search gives one
-shard alone, sorted; the shards are disjoint and their union is the
-full catalog.
+sets by recursion on (n-1, r) and (n-1, r-1), with a memo that lives for
+one call, down to four base cases:
+  - rank > n: the empty map;
+  - rank n: both signs of the one tuple;
+  - rank n-1, in closed form: [n] is the one window, so the rows are the
+    2n sign sequences s^a (-s)^(n-a) over the lex tuples, those with at
+    most one change (a top level of rank n-1 is still joined, since it
+    keeps one row of each {sigma, -sigma});
+  - rank 1: every map.
+At each level the rows of Q are grouped by their key, the positions
+they force and the values there, and each group is paired with the
+rows of P that carry those values.  P and Q are first placed into their
+columns of the rows on [n], so an output row is one gather of a P row
+ORed with one gather of a Q row.  Each level is a set-up (the keys
+sorted and grouped, P packed, P and Q placed) and a step that matches a
+slice of the keys and gathers its rows; the lower levels take every
+key.  The top level pairs only the rows whose lex-first tuple
+(1, ..., k+2) is +, one of each {sigma, -sigma}, and sorts them as byte
+strings on a 1-bit key: the rows hold no 0, so their packed '-' bits,
+read as big-endian words, sort as their characters do (bit_order).  A shard is the slice of the
+top keys whose index is its own modulo the shard count;
+enumerate_sharded builds the lower levels and the top set-up once, runs
+every shard's step on it, in turn or on threads that share it, and
+sorts the rows of all shards once.  That is the one way to combine
+shards.  partition_search gives one shard alone, sorted; the shards are
+disjoint and their union is the full catalog.
 """
 
 from __future__ import annotations
@@ -147,12 +152,19 @@ class _Join:
 
 
 def _signotopes(n, r, memo):
-    """All rank-r signotopes on [n], both signs, as boolean rows."""
+    """All rank-r signotopes on [n], both signs, as boolean rows over the
+    lex r-subsets, in no set order; memo maps (n, r) to the rows of the
+    levels built so far.  The base cases are those of the module
+    docstring; a level of rank n-1 is its 2n rows with at most one sign
+    change, made directly instead of joined."""
     if (n, r) not in memo:
         if r > n:
             out = np.ones((1, 0), bool)
         elif r == n:
             out = np.array([[True], [False]])
+        elif r == n - 1:
+            steps = np.arange(1, n)[:, None] > np.arange(n)
+            out = np.vstack([np.ones((1, n), bool), steps, np.zeros((1, n), bool), ~steps])
         elif r == 1:
             out = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
         else:

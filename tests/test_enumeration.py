@@ -5,7 +5,8 @@ import pytest
 
 import polyom as pm
 from polyom.chirotope import char_signs
-from polyom.enumeration import partition_search
+from polyom.combinat import window_index
+from polyom.enumeration import _Join, _signotopes, partition_search
 from reference_search import brute_force_strings, propagate_window
 
 # (n, k) -> number of objects up to global sign
@@ -232,6 +233,37 @@ def test_enumerate_sharded_builds_each_level_once(monkeypatch, n, k):
         builds.clear()
         pm.enumerate_sharded(n, k, of_shards, jobs=1)
         assert sorted(builds) == plain, of_shards
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 1), (9, 5)])
+def test_only_a_top_level_of_rank_n_minus_one_is_joined(monkeypatch, n, k):
+    builds = _count_join_builds(monkeypatch)
+    pm.enumerate_chirotopes(n, k)
+    assert builds[-1] == (n, k + 2)
+    assert all(1 < r < m - 1 for m, r in builds[:-1]), builds
+
+
+def _row_set(rows):
+    return {row.tobytes() for row in np.ascontiguousarray(rows, bool)}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rank_n_minus_one_level_is_every_row_with_one_change(n):
+    rows = _signotopes(n, n - 1, {})
+    assert rows.dtype == bool and rows.shape == (2 * n, n)
+    assert len(_row_set(rows)) == 2 * n
+    # the one window of [n] reads the n tuples in lex order
+    if n >= 3:
+        assert window_index(n, n - 3).tolist() == [list(range(n))]
+    every = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    one_change = every[(every[:, 1:] != every[:, :-1]).sum(1) <= 1]
+    assert _row_set(rows) == _row_set(one_change)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_rank_n_minus_one_level_equals_its_join(n):
+    P, Q = _signotopes(n - 1, n - 1, {}), _signotopes(n - 1, n - 2, {})
+    assert _row_set(_signotopes(n, n - 1, {})) == _row_set(_Join(P, Q, n, n - 1).rows())
 
 
 @pytest.mark.parametrize("n, k", [(7, 1), (7, 2), (8, 3), (8, 4), (9, 5)])

@@ -110,6 +110,27 @@ def test_bit_order_is_record_order_on_nowhere_zero_rows(plus):
     assert ascending(chars).tolist() == [a < b for a, b in zip(strings, strings[1:])]
 
 
+@st.composite
+def distinct_plus_matrices(draw):
+    """Distinct boolean rows (True = '+') of widths 1 to 130, one word and
+    more, in a drawn order: a row and rows that differ from it in one or
+    two positions."""
+    width = draw(st.one_of(st.sampled_from([63, 64, 65, 70]), st.integers(1, 130)))
+    base = np.frombuffer(draw(st.binary(min_size=width, max_size=width)), np.uint8) & 1
+    flips = draw(st.lists(st.lists(st.integers(0, width - 1), min_size=1, max_size=2), max_size=16))
+    pool = [base] + [base ^ np.isin(np.arange(width), at) for at in flips]
+    rows = np.unique(np.array(pool, bool), axis=0)
+    return rows[draw(st.permutations(range(len(rows))))]
+
+
+@PROPS
+@given(distinct_plus_matrices())
+@example(np.array([[False], [True]]))
+@example(np.eye(64, dtype=bool)[::-1])
+def test_bit_order_sorts_distinct_records_of_one_word_and_more(plus):
+    assert bit_order(plus).tolist() == record_order(bit_chars(plus.copy())).tolist()
+
+
 @PROPS
 @given(st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 2, k + 5))),
        st.data())
